@@ -9,19 +9,14 @@ how to reproduce these numbers.
 
 * Construction: TSBUILD on the largest bundled dataset (XMark, the
   biggest count-stable summary of repro.datagen.DATASETS) at the paper's
-  10 KB budget, four arms: before = ``TSBuildOptions(reference=True)``
+  10 KB budget, three arms: before = ``TSBuildOptions(reference=True)``
   (the seed scorer and from-scratch CREATEPOOL, verbatim); after = the
   optimized dict path (``kernel="dicts"``); kernel = the flat-array
-  scoring kernel (``kernel="arrays"``); numpy = the block-vectorized
-  rescoring path (``kernel="numpy"``, the shipping default via
-  ``"auto"`` when numpy is present; skipped without numpy).  Every arm
-  records which backend produced it under its ``"kernel"`` key.  All
-  sketches are asserted identical; the dict-path speedup must hold the
-  >= 1.5x acceptance bar of the perf overhaul, the arrays kernel must be
-  strictly faster than the dict path, and the numpy arm must stay within
-  a 1.10x parity envelope of the arrays arm (it missed its 1.3x target;
-  docs/PERFORMANCE.md "Block-vectorized merge scoring" has the honest
-  analysis).
+  scoring kernel (``kernel="arrays"``, what ``"auto"`` picks on XMark).
+  Every arm records which backend produced it under its ``"kernel"``
+  key.  All sketches are asserted identical; the dict-path speedup must
+  hold the >= 1.5x acceptance bar of the perf overhaul, and the arrays
+  kernel must be strictly faster than the dict path.
 
 * Maintenance: a 100-edit mutation workload applied to the live sketch
   (``repro.core.live.SketchMaintainer``) versus the cost of rebuilding
@@ -311,8 +306,6 @@ def test_bench_feed(tmp_path):
     # Construction: seed vs dict path vs array kernel, same machine,
     # same process.
     # ------------------------------------------------------------------
-    from repro.core.npsupport import have_numpy
-
     before_sketch, before_s, before_counters = _timed_build(
         stable, TSBuildOptions(reference=True)
     )
@@ -328,14 +321,6 @@ def test_bench_feed(tmp_path):
     assert _sketch_state(before_sketch) == _sketch_state(kernel_sketch), (
         "array-kernel TSBUILD diverged from the seed implementation"
     )
-    numpy_s = numpy_counters = None
-    if have_numpy():
-        numpy_sketch, numpy_s, numpy_counters = _timed_build(
-            stable, TSBuildOptions(kernel="numpy")
-        )
-        assert _sketch_state(before_sketch) == _sketch_state(numpy_sketch), (
-            "block-vectorized TSBUILD diverged from the seed implementation"
-        )
     build_speedup = before_s / after_s
     kernel_speedup = before_s / kernel_s
 
@@ -397,8 +382,8 @@ def test_bench_feed(tmp_path):
             "counters": _tsbuild_counters(before_counters),
         },
         "after": {
-            "impl": "optimized dict path (memoize + incremental_pool + "
-                    "fast scorer, kernel='dicts')",
+            "impl": "optimized dict path (merge memo + persistent pool "
+                    "state + fast scorer, kernel='dicts')",
             "kernel": "dicts",
             "seconds": round(after_s, 3),
             "counters": _tsbuild_counters(after_counters),
@@ -423,23 +408,6 @@ def test_bench_feed(tmp_path):
         "speedup_kernel": round(kernel_speedup, 2),
         "kernel_vs_dicts": round(after_s / kernel_s, 2),
     }
-    if numpy_s is not None:
-        build_doc["numpy"] = {
-            "impl": "block-vectorized merge scoring (numpy batch rescoring "
-                    "of large-union stale candidates, kernel='numpy')",
-            "kernel": "numpy",
-            "seconds": round(numpy_s, 3),
-            "counters": _tsbuild_counters(numpy_counters),
-        }
-        build_doc["speedup_numpy"] = round(before_s / numpy_s, 2)
-        build_doc["numpy_vs_arrays"] = round(kernel_s / numpy_s, 2)
-        build_doc["numpy"]["note"] = (
-            "missed its 1.3x-over-arrays target: the vectorizable source "
-            "loop is ~1/3 of big-pair scoring cost and per-pair numpy "
-            "marshalling eats the savings; defaults admit only the "
-            "giant-union tail, so this arm records parity, not a win "
-            "(docs/PERFORMANCE.md, 'Block-vectorized merge scoring')"
-        )
     (REPO_ROOT / "BENCH_build.json").write_text(
         json.dumps(build_doc, indent=2) + "\n"
     )
@@ -516,15 +484,11 @@ def test_bench_feed(tmp_path):
     emit(
         "bench_feed",
         "\n".join([
-            "Perf feed (before -> after -> kernel -> numpy, same machine "
-            "& process)",
+            "Perf feed (before -> after -> kernel, same machine & process)",
             f"  build  {DATASET}@{BUDGET_KB}KB: "
             f"{before_s:.2f}s -> {after_s:.2f}s ({build_speedup:.2f}x) "
             f"-> {kernel_s:.2f}s ({kernel_speedup:.2f}x cumulative, "
-            f"{after_s / kernel_s:.2f}x over dicts)"
-            + (f" -> {numpy_s:.2f}s ({before_s / numpy_s:.2f}x cumulative, "
-               f"{kernel_s / numpy_s:.2f}x over arrays)"
-               if numpy_s is not None else " (numpy arm skipped: no numpy)"),
+            f"{after_s / kernel_s:.2f}x over dicts)",
             f"  maintain {maintain_edits} live edits: {maintain_s:.2f}s vs "
             f"{rebuild_s:.2f}s/rebuild "
             f"({maintain_speedup:.0f}x vs {maintain_edits} rebuilds)",
@@ -557,22 +521,6 @@ def test_bench_feed(tmp_path):
         f"the arrays kernel ({kernel_s:.2f}s) must beat the dict path "
         f"({after_s:.2f}s) on {DATASET}"
     )
-    if numpy_s is not None:
-        # The block-vectorized path did NOT clear its 1.3x-over-arrays
-        # target: per-pair numpy marshalling exceeds what vectorizing the
-        # source loop saves, and lookahead warming loses to invalidation
-        # (the full analysis lives in docs/PERFORMANCE.md,
-        # "Block-vectorized merge scoring").  The honest bar is therefore
-        # parity: the shipping defaults admit only break-even-or-better
-        # giant-union pairs, so the numpy arm must never cost more than
-        # noise over the arrays arm.
-        assert numpy_s <= kernel_s * 1.10, (
-            f"block-vectorized scoring ({numpy_s:.2f}s) regressed past "
-            f"the 10% parity envelope of the arrays kernel "
-            f"({kernel_s:.2f}s) on {DATASET}; its admission thresholds "
-            "exist to make it free when it cannot win -- see "
-            "docs/PERFORMANCE.md"
-        )
     assert eval_speedup > 1.0
     assert load_speedup >= MIN_LOAD_SPEEDUP, (
         f".tsb load speedup {load_speedup:.1f}x fell below the "

@@ -1092,12 +1092,11 @@ def make_parser() -> argparse.ArgumentParser:
                    help="persist/reuse the TSBUILD merge-score memo in the "
                         "source's .cache sidecar (synopsis sources only)")
     p.add_argument("--kernel",
-                   choices=("auto", "dicts", "arrays", "numpy"),
+                   choices=("auto", "dicts", "arrays"),
                    default="auto",
-                   help="TSBUILD scoring backend (bit-identical output; "
-                        "auto picks by shape and upgrades to numpy block "
-                        "scoring when numpy is available; see "
-                        "docs/PERFORMANCE.md)")
+                   help="TSBUILD partition backend (bit-identical output; "
+                        "auto picks dicts or arrays by the summary's edge "
+                        "density; see docs/PERFORMANCE.md)")
     p.add_argument("--profile", metavar="FILE",
                    help="dump a cProfile pstats file for the run")
     p.add_argument(
@@ -1189,9 +1188,9 @@ def make_parser() -> argparse.ArgumentParser:
                    help="estimate all selectivities in one vectorized pass "
                         "(numpy when available; ignored in --server mode)")
     p.add_argument("--kernel",
-                   choices=("auto", "dicts", "arrays", "numpy"),
+                   choices=("auto", "dicts", "arrays"),
                    default="auto",
-                   help="TSBUILD scoring backend for the built sketch "
+                   help="TSBUILD partition backend for the built sketch "
                         "(bit-identical output; ignored in --server mode)")
     p.add_argument("--profile", metavar="FILE",
                    help="dump a cProfile pstats file for the run")

@@ -12,12 +12,13 @@ synopsis fits the budget or no merges remain.
 Heap entries are ordered by the *canonical* tuple ``(ratio, errd, sized,
 u, v, ver_u, ver_v)`` -- no insertion-order tiebreak -- so the merge
 sequence is a function of the candidate *set* alone.  That is what lets
-the incremental and parallel pool generators (repro.core.pool), which may
-produce candidates in a different order, build byte-identical sketches;
-tests/test_build_equivalence.py holds them to it.
+the incremental pool generator (repro.core.pool), which may produce
+candidates in a different order, build byte-identical sketches;
+tests/test_build_equivalence.py holds it to that.
 
-Performance knobs (``memoize``, ``incremental_pool``, ``workers``) are
-documented in docs/PERFORMANCE.md; ``reference=True`` restores the seed
+Every non-reference build scores through the partition's versioned merge
+memo and keeps a :class:`~repro.core.pool.PoolState` across pool
+regenerations (docs/PERFORMANCE.md); ``reference=True`` restores the seed
 code paths end to end and serves as the benchmark baseline.
 """
 
@@ -48,17 +49,6 @@ logger = logging.getLogger(__name__)
 #: bit-identical either way, so this is purely a speed heuristic.
 AUTO_DICTS_DENSITY = 4.0
 
-#: Minimum combined in-source count for a stale heap pop to trigger a
-#: vectorized block refresh (``kernel="numpy"``).  Bitwise-neutral speed
-#: knob.  It sits at the giant-union tail on purpose: measured on XMark
-#: (docs/PERFORMANCE.md "Block-vectorized merge scoring"), per-pair
-#: numpy marshalling exceeds what vectorizing the source loop saves
-#: until unions reach thousands of sources, and speculative lookahead
-#: warming loses outright (~1 large stale pop per merge window, and the
-#: merge is exactly what invalidates warmed entries), so only pairs
-#: where the vector core at least breaks even are admitted.
-REFRESH_MIN_SOURCES = 1536
-
 
 @dataclass
 class TSBuildOptions:
@@ -74,41 +64,18 @@ class TSBuildOptions:
     ``stop_when_full`` restores Fig. 6's literal early termination of
     candidate generation.
 
-    Performance knobs (all output-preserving; docs/PERFORMANCE.md):
+    ``kernel`` picks the partition backend (output is bit-identical
+    either way; docs/PERFORMANCE.md): ``"arrays"`` is the flat-array
+    :class:`repro.core.kernel.KernelPartition`, ``"dicts"`` the
+    dict-backed :class:`MergePartition`, and ``"auto"`` (default) picks
+    dicts for merged-dims-dominated summaries (stable edge density of
+    ``AUTO_DICTS_DENSITY`` or more -- the IMDB shape), otherwise arrays
+    whenever the summary has dense ids (always true for ``build_stable``
+    output), falling back to dicts for sparse ids.
 
-    * ``memoize`` -- versioned memoization of merge scores, so stale-heap
-      recomputation and pool regeneration skip pairs whose neighbourhood
-      is unchanged;
-    * ``incremental_pool`` -- persist the CREATEPOOL label/depth grouping
-      and structural-key cache across regenerations;
-    * ``workers`` -- fan candidate scoring across a process pool
-      (``1`` = serial; needs a fork-capable platform, else falls back);
-    * ``kernel`` -- the partition/scoring backend: ``"arrays"`` is the
-      flat-array :class:`repro.core.kernel.KernelPartition` (CSR adjacency,
-      slot-table sufficient statistics, epoch-stamped scratch --
-      bit-identical output), ``"numpy"`` is the same partition with its
-      vectorized block scorer enabled (stale heap candidates are rescored
-      in batches through one numpy pass; raises ``ValueError`` when numpy
-      is unavailable), ``"dicts"`` the original dict-backed
-      :class:`MergePartition`, and ``"auto"`` (default) picks
-      dicts for merged-dims-dominated summaries (stable edge density of
-      ``AUTO_DICTS_DENSITY`` or more, where the dict path's C-level dim
-      copies beat the kernel's per-slot loops by ~1.2x -- the IMDB shape;
-      see docs/PERFORMANCE.md), otherwise arrays whenever the summary has
-      dense ids (always true for ``build_stable`` output) -- upgraded to
-      the numpy block scorer when numpy is importable and
-      ``REPRO_NO_NUMPY`` is unset -- falling back to dicts for sparse
-      ids.  Auto never raises on a missing numpy: the fallback is silent
-      and decided before the build starts, so no ImportError can surface
-      mid-build;
-    * ``block_size`` -- max stale candidates rescored per vectorized
-      block on the numpy path (bitwise-neutral speed knob; with the
-      default ``REFRESH_MIN_SOURCES`` admission floor blocks are nearly
-      always singletons -- lookahead warming measured as a net loss, see
-      docs/PERFORMANCE.md);
-    * ``reference`` -- run the seed scorer and from-scratch CREATEPOOL
-      verbatim, ignoring the knobs above (benchmark baseline; implies the
-      dict-backed partition).
+    ``reference`` runs the seed scorer and from-scratch CREATEPOOL
+    verbatim, without the merge memo or pool state (benchmark baseline
+    and equivalence oracle; implies the dict-backed partition).
     """
 
     heap_upper: int = 10_000
@@ -116,11 +83,7 @@ class TSBuildOptions:
     pair_window: Optional[int] = 32
     drain_fraction: float = 0.5
     stop_when_full: bool = False
-    memoize: bool = True
-    incremental_pool: bool = True
-    workers: int = 1
     kernel: str = "auto"
-    block_size: int = 16
     reference: bool = False
 
 
@@ -153,17 +116,17 @@ class TreeSketchBuilder:
         # Forwarding chains for clusters absorbed by merges.
         self._merged_into: Dict[int, int] = {}
         self._pool_state: Optional[PoolState] = None
-        if self.options.memoize and not self.options.reference:
+        if not self.options.reference:
             self.partition.enable_memo()
 
     def _make_partition(self, stable: StableSummary):
         """Instantiate the partition backend selected by ``options.kernel``."""
         opts = self.options
         kernel = opts.kernel
-        if kernel not in ("auto", "arrays", "dicts", "numpy"):
+        if kernel not in ("auto", "arrays", "dicts"):
             raise ValueError(
                 f"unknown kernel {kernel!r} "
-                "(expected 'arrays', 'dicts', 'numpy' or 'auto')"
+                "(expected 'arrays', 'dicts' or 'auto')"
             )
         if opts.reference or kernel == "dicts":
             # The reference path scores through evaluate_merge_reference,
@@ -171,31 +134,15 @@ class TreeSketchBuilder:
             return MergePartition(stable)
         if kernel == "arrays":
             return KernelPartition(stable)
-        if kernel == "numpy":
-            part = KernelPartition(stable)
-            if not part.enable_vector_blocks():
-                raise ValueError(
-                    "kernel='numpy' requires numpy (absent or disabled "
-                    "via REPRO_NO_NUMPY); use kernel='auto' for a silent "
-                    "fallback"
-                )
-            return part
         # auto: dicts for merged-dims-dominated shapes, else arrays when
         # the summary has dense ids, falling back to dicts otherwise.
-        # The numpy block scorer rides on the arrays choice whenever
-        # numpy is importable; enable_vector_blocks() returning False
-        # (no numpy / REPRO_NO_NUMPY) simply leaves the scalar path in
-        # place -- the decision is made here, before any scoring, so a
-        # missing numpy can never surface as an ImportError mid-build.
         num_classes = max(1, len(stable.count))
         if stable.num_edges / num_classes >= AUTO_DICTS_DENSITY:
             return MergePartition(stable)
         try:
-            part = KernelPartition(stable)
+            return KernelPartition(stable)
         except ValueError:
             return MergePartition(stable)
-        part.enable_vector_blocks()
-        return part
 
     # ------------------------------------------------------------------
 
@@ -214,9 +161,8 @@ class TreeSketchBuilder:
 
         A persisted memo entry is only sound if the build that reads it
         walks the same merge sequence that produced its version stamps,
-        so sidecars key memo payloads on this signature.  ``memoize`` /
-        ``incremental_pool`` / ``workers`` / ``kernel`` / ``block_size``
-        are deliberately excluded: the equivalence tests pin all of them
+        so sidecars key memo payloads on this signature.  ``kernel`` is
+        deliberately excluded: the equivalence tests pin both backends
         bit-identical.
         """
         opts = self.options
@@ -273,14 +219,11 @@ class TreeSketchBuilder:
             return create_pool_reference(
                 part, opts.heap_upper, opts.pair_window, opts.stop_when_full
             )
-        state = None
-        if opts.incremental_pool:
-            if self._pool_state is None:
-                self._pool_state = PoolState(part)
-            state = self._pool_state
+        if self._pool_state is None:
+            self._pool_state = PoolState(part)
         return create_pool(
             part, opts.heap_upper, opts.pair_window, opts.stop_when_full,
-            state=state, memoize=opts.memoize, workers=opts.workers,
+            state=self._pool_state,
         )
 
     def _apply_merge(self, part, u: int, v: int) -> None:
@@ -318,13 +261,7 @@ class TreeSketchBuilder:
         memo_misses = metrics.counter("tsbuild.memo_misses")
         hits_before, misses_before = part.memo_hits, part.memo_misses
         # Which partition backend served this build (see options.kernel).
-        if isinstance(part, KernelPartition) and part.vector_blocks:
-            metrics.counter("tsbuild.kernel_numpy").inc()
-            # Pre-register the block-scoring telemetry so a numpy build
-            # that never hits a stale pop still reports them at zero.
-            metrics.counter("tsbuild.block_rescores")
-            metrics.histogram("tsbuild.block_size")
-        elif isinstance(part, KernelPartition):
+        if isinstance(part, KernelPartition):
             metrics.counter("tsbuild.kernel_arrays").inc()
         else:
             metrics.counter("tsbuild.kernel_dicts").inc()
@@ -414,20 +351,6 @@ class TreeSketchBuilder:
         stale = metrics.counter("tsbuild.stale_recomputations")
         merges = metrics.counter("tsbuild.merges_applied")
         version = part.version
-        # Block mode (kernel="numpy"): stale pops whose score is not
-        # already memoized trigger a vectorized rescore of a whole block
-        # of stale heap-prefix candidates (see _block_refresh).  It is a
-        # memo warmer, so it needs the memo; without one, stale pops fall
-        # through to the per-pair scalar path unchanged.
-        memo = part.merge_memo
-        block_mode = (
-            not reference
-            and memo is not None
-            and getattr(part, "vector_blocks", False)
-        )
-        if block_mode:
-            block_rescores = metrics.counter("tsbuild.block_rescores")
-            block_sizes = metrics.histogram("tsbuild.block_size")
         applied = 0
         # Partition size only changes when a merge is applied; track it
         # locally instead of recomputing per pop.
@@ -450,20 +373,6 @@ class TreeSketchBuilder:
                     entry = (result.ratio, result.errd, result.sized,
                              u, v, cur_u, cur_v)
                 else:
-                    if (
-                        block_mode
-                        and len(part.in_sources[u]) + len(part.in_sources[v])
-                        >= REFRESH_MIN_SOURCES
-                    ):
-                        m = memo.get((u, v))
-                        if m is None or m[0] != cur_u or m[1] != cur_v:
-                            # Score due anyway; warm the memo for this
-                            # pair plus a block of upcoming stale
-                            # candidates in one vectorized pass.
-                            self._block_refresh(
-                                part, heap, u, v,
-                                block_rescores, block_sizes,
-                            )
                     scored = part.scored_merge(u, v)
                     if scored[2] <= 0:
                         continue  # non-improving by definition: drop it
@@ -475,82 +384,6 @@ class TreeSketchBuilder:
             merges.inc()
             applied += 1
         return applied > 0
-
-    def _block_refresh(self, part, heap: List, u0: int, v0: int,
-                       block_rescores, block_sizes) -> None:
-        """Vectorized memo warming: rescore a block of stale candidates.
-
-        Collects up to ``block_size`` stale pairs from the heap prefix
-        (the candidates most likely to be popped next), starting with the
-        pair that triggered the refresh, and scores them through
-        ``part.eval_block`` in one vectorized pass, writing the results
-        into the merge memo with current version stamps.
-
-        This deliberately does NOT touch the heap: the drain discipline
-        -- pop, check staleness, rescore via ``scored_merge``, re-push --
-        is unchanged, so the merge sequence is preserved *by
-        construction*; the only new proof obligation is that
-        ``eval_block`` scores bitwise-identically to ``_eval_raw``
-        (tests/test_block_scoring.py).  Warming pairs that are never
-        popped costs time, never correctness: the memo's version-stamp
-        discipline invalidates any entry whose operands change.
-        """
-        memo = part.merge_memo
-        version = part.version
-        in_sources = part.in_sources
-        resolve = self._resolve
-        block_size = max(1, self.options.block_size)
-        pairs = [(u0, v0)]
-        seen = {(u0, v0)}
-        # Pop the heap's true next-in-order entries (bounded), collect the
-        # stale vector-eligible ones, then push every popped entry back
-        # *unchanged*: the heap multiset is restored exactly, so pop order
-        # -- and hence the merge sequence -- cannot change.  Popping gives
-        # the real upcoming candidates, so warmed scores are the ones the
-        # drain loop is about to ask for (small-union pairs are skipped:
-        # their pop-time scalar rescore costs no more than warming would).
-        pop, push = heapq.heappop, heapq.heappush
-        popped: List = []
-        # Warmed entries only survive until a merge bumps their operands'
-        # versions, and big-union pairs border most of the graph, so the
-        # useful lookahead is roughly the pop distance to the next merge
-        # -- keep the window small rather than warming scores that will
-        # be invalidated before they are ever popped.
-        budget = block_size * 2
-        while heap and len(popped) < budget and len(pairs) < block_size:
-            entry = pop(heap)
-            popped.append(entry)
-            u, v = resolve(entry[3]), resolve(entry[4])
-            if u == v:
-                continue  # operands already merged; pop will discard it
-            cur_u, cur_v = version.get(u, 0), version.get(v, 0)
-            if (entry[5], entry[6]) == (cur_u, cur_v):
-                continue  # fresh in heap: pop applies it, no score needed
-            key = (u, v)
-            if key in seen:
-                continue
-            if len(in_sources[u]) + len(in_sources[v]) < REFRESH_MIN_SOURCES:
-                continue  # scalar rescore at pop time is just as cheap
-            m = memo.get(key)
-            if m is not None and m[0] == cur_u and m[1] == cur_v:
-                continue  # already warm: pop will hit the memo
-            seen.add(key)
-            pairs.append(key)
-        for entry in popped:
-            push(heap, entry)
-        # Block fills count as misses; the pops they serve count as hits
-        # (same accounting a scalar miss-then-hit pair would produce).
-        part.memo_misses += len(pairs)
-        # Admission already filtered by REFRESH_MIN_SOURCES, so vectorize
-        # every collected pair regardless of the pool-side routing floor.
-        scores = part.eval_block(pairs, min_sources=0)
-        for (u, v), (errd, sized) in zip(pairs, scores):
-            ratio = errd / sized if sized > 0 else float("inf")
-            memo[(u, v)] = (
-                version.get(u, 0), version.get(v, 0), ratio, errd, sized
-            )
-        block_rescores.inc(len(pairs))
-        block_sizes.observe(len(pairs))
 
 
 def build_treesketch(

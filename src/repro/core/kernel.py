@@ -64,31 +64,13 @@ tests/test_build_equivalence.py and tests/test_kernel_state.py):
 from __future__ import annotations
 
 from array import array
-from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.npsupport import get_numpy, np_index_dtype
+from repro.core.npsupport import get_numpy
 from repro.core.partition import MergeResult, ScoredMerge
 from repro.core.size import EDGE_BYTES, NODE_BYTES
 from repro.core.stable import StableSummary
 from repro.core.treesketch import TreeSketch
-
-#: Pairs whose combined in-source count is below this are scored by the
-#: scalar ``_eval_raw`` even inside a vectorized block: the vector path
-#: pays a per-pair marshalling cost (set-union materialization via
-#: ``np.fromiter``, combined-count scatter, ~15 numpy kernel launches)
-#: that only amortizes once the source union is very large, because the
-#: vectorized segment is just the source loop -- the out-dims and
-#: parent-collapse phases stay scalar either way.  Purely a speed knob
-#: (bitwise-identical); the measured XMark break-even for a cold
-#: singleton is ~2800 sources, so the floor sits at the giant-union
-#: tail (docs/PERFORMANCE.md "Block-vectorized merge scoring").
-MIN_VECTOR_SOURCES = 1536
-
-#: Bounded size of the per-pair source-union cache (see ``_pair_sources``).
-#: On overflow the oldest half is dropped (dict insertion order).
-PAIR_CACHE_CAP = 8192
-
 
 class KernelPartition:
     """Flat-array twin of :class:`MergePartition` (same merge semantics).
@@ -210,28 +192,6 @@ class KernelPartition:
         self._p_stamp: List[int] = [0] * n
         self._p_sum: List[float] = [0.0] * n
         self._p_sq: List[float] = [0.0] * n
-
-        # Source-side version stamps for the block scorer's caches: bump
-        # only when a cluster's in-edge state (``in_sources[c]`` /
-        # ``in_src[c]`` / ``in_k[c]``) is rebuilt -- which ``apply_merge``
-        # does for the surviving cluster alone (``_collapse_row`` touches
-        # other rows' entries *toward* u/v, never another cluster's
-        # transpose).  Distinct from ``version`` (score inputs) and
-        # ``struct_version`` (child-side state).
-        self._src_version: List[int] = [0] * n
-
-        # Vectorized block scoring (``enable_vector_blocks``): numpy
-        # module handle, dense float mirror of ``s_count``, dense owner
-        # mirror, a size-n scatter buffer for combined source counts,
-        # per-cluster numpy copies of the in-edge transpose, and the
-        # bounded per-pair source-union cache.  All ``None``/empty until
-        # enabled, so the scalar paths carry zero overhead.
-        self._np = None
-        self._np_scnt = None
-        self._np_owner = None
-        self._np_kkbuf = None
-        self._np_in: List[Optional[tuple]] = []
-        self._pair_cache: Dict[Tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # Size and quality
@@ -445,299 +405,10 @@ class KernelPartition:
         memo[key] = (ver_u, ver_v, ratio, errd, sized)
         return ratio, errd, sized
 
-    # ------------------------------------------------------------------
-    # Vectorized block scoring (kernel="numpy")
-    # ------------------------------------------------------------------
-
-    @property
-    def vector_blocks(self) -> bool:
-        """Whether :meth:`eval_block` vectorizes (numpy path enabled)."""
-        return self._np is not None
-
-    def enable_vector_blocks(self) -> bool:
-        """Switch :meth:`eval_block` to the numpy path; returns success.
-
-        Captures the numpy module once (``REPRO_NO_NUMPY`` is honoured at
-        enable time, so a build never flips backend -- or raises an
-        ImportError -- mid-flight).  Returns ``False`` and leaves the
-        scalar path in place when numpy is unavailable.
-        """
-        if self._np is not None:
-            return True
-        np = get_numpy()
-        if np is None:
-            return False
-        n = self._n
-        self._np = np
-        self._idt = np_index_dtype(np)
-        # Float mirror of s_count: int-to-double conversion is exact for
-        # element counts, and pre-converting keeps the hot gather float64.
-        self._np_scnt = np.array(self.s_count, dtype=np.float64)
-        self._np_owner = np.array(self.owner, dtype=self._idt)
-        self._np_kkbuf = np.zeros(n, dtype=np.float64)
-        self._np_in = [None] * n
-        return True
-
-    def _cluster_in(self, np, c: int):
-        """Numpy copies of cluster ``c``'s in-edge transpose, cached under
-        its source-side version stamp."""
-        ver = self._src_version[c]
-        ent = self._np_in[c]
-        if ent is not None and ent[0] == ver:
-            return ent[1], ent[2]
-        src = np.array(self.in_src[c], dtype=self._idt)
-        k = np.array(self.in_k[c], dtype=np.float64)
-        self._np_in[c] = (ver, src, k)
-        return src, k
-
-    def _pair_sources(self, np, u: int, v: int):
-        """``(srcs, kk, t, tk)`` for a pair: the source union in its exact
-        set-iteration order, combined counts ``k_u + k_v`` aligned to it,
-        and the derived ``s_count*k`` / ``s_count*k*k`` products.
-
-        The union's iteration order is a hash-table artifact of the two
-        live set objects, so it is materialized from the real
-        ``in_sources[u] | in_sources[v]`` (never reconstructed
-        numerically) -- that order fixes the scorer's floating-point
-        accumulation order.  Both the order and the counts change only
-        when a cluster's in-edge state is rebuilt, so entries are cached
-        under the ``_src_version`` stamps (bounded; oldest half evicted).
-        """
-        sv = self._src_version
-        ver_u, ver_v = sv[u], sv[v]
-        cache = self._pair_cache
-        key = (u, v)
-        hit = cache.get(key)
-        if hit is not None and hit[0] == ver_u and hit[1] == ver_v:
-            return hit[2], hit[3], hit[4], hit[5]
-        union = self.in_sources[u] | self.in_sources[v]
-        srcs = np.fromiter(union, dtype=self._idt, count=len(union))
-        src_u, k_u = self._cluster_in(np, u)
-        src_v, k_v = self._cluster_in(np, v)
-        buf = self._np_kkbuf
-        # Sources unique within each transpose, so fancy-index += is safe;
-        # (0.0 + k_u) + k_v reproduces the scalar scatter's operand order
-        # (u's count first) bitwise -- counts are strictly positive, so
-        # the 0.0 seed is exact.
-        buf[srcs] = 0.0
-        buf[src_u] += k_u
-        buf[src_v] += k_v
-        kk = buf[srcs]
-        t = self._np_scnt[srcs] * kk
-        tk = t * kk
-        if len(cache) >= PAIR_CACHE_CAP:
-            for old in list(islice(iter(cache), PAIR_CACHE_CAP // 2)):
-                del cache[old]
-        cache[key] = (ver_u, ver_v, srcs, kk, t, tk)
-        return srcs, kk, t, tk
-
-    def _outdims_scalar(self, u: int, v: int,
-                        count_w: int) -> Tuple[float, int]:
-        """Phase one of ``_eval_raw`` (out-dims toward targets outside
-        ``{u, v}``), verbatim: ``(sq_new_w, out_edges_new)``.
-
-        Kept as a separate copy so the scalar ``_eval_raw`` hot path pays
-        no extra function call; the block scorer combines this with the
-        vectorized source pass in exactly the reference operation order.
-        """
-        slots_u = self.out_slots[u]
-        slots_v = self.out_slots[v]
-        stat_tgt = self.stat_tgt
-        stat_sum = self.stat_sum
-        stat_sq = self.stat_sq
-        self._epoch = epoch = self._epoch + 1
-        m_stamp = self._m_stamp
-        m_sum = self._m_sum
-        m_sq = self._m_sq
-        for slot in slots_v:
-            t = stat_tgt[slot]
-            if t == u or t == v:
-                continue
-            m_stamp[t] = epoch
-            m_sum[t] = stat_sum[slot]
-            m_sq[t] = stat_sq[slot]
-        sq_new_w = 0.0
-        out_edges_new = 0
-        for slot in slots_u:
-            t = stat_tgt[slot]
-            if t == u or t == v:
-                continue
-            out_edges_new += 1
-            if m_stamp[t] == epoch:
-                m_stamp[t] = 0
-                s_ = m_sum[t] + stat_sum[slot]
-                sq_new_w += (m_sq[t] + stat_sq[slot]) - (s_ * s_) / count_w
-            else:
-                s_ = stat_sum[slot]
-                sq_new_w += stat_sq[slot] - (s_ * s_) / count_w
-        for slot in slots_v:
-            t = stat_tgt[slot]
-            if t == u or t == v:
-                continue
-            if m_stamp[t] == epoch:
-                out_edges_new += 1
-                s_ = m_sum[t]
-                sq_new_w += m_sq[t] - (s_ * s_) / count_w
-        return sq_new_w, out_edges_new
-
-    def eval_block(self, pairs: List[Tuple[int, int]],
-                   min_sources: Optional[int] = None) -> List[Tuple[float, int]]:
-        """``(errd, sized)`` per pair, bitwise-equal to per-pair
-        ``_eval_raw`` calls.
-
-        Serial unless :meth:`enable_vector_blocks` succeeded; with the
-        numpy path on, pairs whose source union is at least
-        ``min_sources`` (default ``MIN_VECTOR_SOURCES``) are scored in
-        one vectorized pass (small pairs stay scalar -- per-pair setup
-        overhead would eat the win; a lone large pair still wins).
-        Callers that pre-filter their pairs by size (the drain loop's
-        block refresh admits only unions past ``REFRESH_MIN_SOURCES``)
-        pass ``min_sources=0`` to vectorize everything they collected.
-        Routing never changes a bit of the output, only the speed
-        (tests/test_block_scoring.py).
-        """
-        np = self._np
-        if np is None:
-            raw = self._eval_raw
-            return [raw(u, v) for u, v in pairs]
-        if min_sources is None:
-            min_sources = MIN_VECTOR_SOURCES
-        in_sources = self.in_sources
+    def eval_block(self, pairs: List[Tuple[int, int]]) -> List[Tuple[float, int]]:
+        """``(errd, sized)`` per pair: CREATEPOOL's batch scoring call."""
         raw = self._eval_raw
-        out: List[Optional[Tuple[float, int]]] = [None] * len(pairs)
-        vec_idx: List[int] = []
-        vec_pairs: List[Tuple[int, int]] = []
-        for i, (u, v) in enumerate(pairs):
-            if len(in_sources[u]) + len(in_sources[v]) >= min_sources:
-                vec_idx.append(i)
-                vec_pairs.append((u, v))
-            else:
-                out[i] = raw(u, v)
-        if vec_pairs:
-            for i, score in zip(vec_idx, self._eval_block_np(np, vec_pairs)):
-                out[i] = score
-        return out
-
-    def _eval_block_np(self, np, pairs: List[Tuple[int, int]]):
-        """The vectorized scoring core: one pass over all pairs' sources.
-
-        The dominant source-union loop of ``_eval_raw`` is flattened
-        across the block and driven through ``np.add.at`` -- unbuffered,
-        so repeated indices accumulate *in operand order*, which makes
-        every per-pair and per-parent sum sequence identical to the
-        scalar loop's (the same guarantee estimate_selectivity_batch
-        already builds on).  Parent first-touch order is recovered from
-        ``np.unique(..., return_index=True)`` (stable: first occurrence)
-        sorted by first flat index; the out-dims and parent-collapse
-        phases remain scalar per pair (small, slot-table bound).
-        """
-        n = self._n
-        nb = len(pairs)
-        idt = self._idt
-        per_src: List = []
-        per_t: List = []
-        per_tk: List = []
-        lens = np.empty(nb, dtype=idt)
-        us = np.empty(nb, dtype=idt)
-        vs = np.empty(nb, dtype=idt)
-        pair_sources = self._pair_sources
-        for i, (u, v) in enumerate(pairs):
-            if u == v:
-                raise ValueError("cannot merge a cluster with itself")
-            srcs, _kk, t, tk = pair_sources(np, u, v)
-            per_src.append(srcs)
-            per_t.append(t)
-            per_tk.append(tk)
-            lens[i] = len(srcs)
-            us[i] = u
-            vs[i] = v
-        flat_src = np.concatenate(per_src)
-        flat_t = np.concatenate(per_t)
-        flat_tk = np.concatenate(per_tk)
-        pid = np.repeat(np.arange(nb, dtype=idt), lens)
-        own = self._np_owner[flat_src]
-
-        # Self dimension: sources owned by u or v, summed sequentially
-        # per pair (flat order == each pair's union order).
-        self_mask = (own == us[pid]) | (own == vs[pid])
-        sw = np.zeros(nb, dtype=np.float64)
-        sqw = np.zeros(nb, dtype=np.float64)
-        sid = pid[self_mask]
-        np.add.at(sw, sid, flat_t[self_mask])
-        np.add.at(sqw, sid, flat_tk[self_mask])
-        has_self = np.zeros(nb, dtype=bool)
-        has_self[sid] = True
-
-        # Parent accumulators keyed (pair, owner), compacted via unique;
-        # add.at keeps each (pair, parent) sum in flat (reference) order.
-        pm = ~self_mask
-        keys = pid[pm] * n + own[pm]
-        uniq, first = np.unique(keys, return_index=True)
-        comp = np.searchsorted(uniq, keys)
-        psum = np.zeros(len(uniq), dtype=np.float64)
-        psq = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(psum, comp, flat_t[pm])
-        np.add.at(psq, comp, flat_tk[pm])
-        order = np.argsort(first)  # global first-touch order, pair-grouped
-        okeys = uniq[order]
-        opair = okeys // n
-        bounds = np.searchsorted(opair, np.arange(nb + 1))
-
-        # Python-land reads: .tolist() yields plain floats/ints, so memo
-        # entries stay JSON-exportable and all downstream arithmetic runs
-        # on the same C doubles the scalar path produces.
-        sw_l = sw.tolist()
-        sqw_l = sqw.tolist()
-        has_l = has_self.tolist()
-        psum_l = psum[order].tolist()
-        psq_l = psq[order].tolist()
-        par_l = (okeys - opair * n).tolist()
-        bounds_l = bounds.tolist()
-
-        cnt = self.count
-        cluster_sq = self.cluster_sq
-        slot_get = self.slot_of.get
-        stat_sum = self.stat_sum
-        stat_sq = self.stat_sq
-        out_slots = self.out_slots
-        outdims = self._outdims_scalar
-        out: List[Tuple[float, int]] = []
-        lo = bounds_l[0]
-        for i, (u, v) in enumerate(pairs):
-            count_w = cnt[u] + cnt[v]
-            sq_new_w, out_edges_new = outdims(u, v, count_w)
-            if has_l[i]:
-                s_ = sw_l[i]
-                sq_new_w += sqw_l[i] - (s_ * s_) / count_w
-                out_edges_new += 1
-            errd = sq_new_w - cluster_sq[u] - cluster_sq[v]
-            base_u = u * n
-            base_v = v * n
-            in_edges_removed = 0
-            hi = bounds_l[i + 1]
-            for j in range(lo, hi):
-                p = par_l[j]
-                count_p = cnt[p]
-                old_sq = 0.0
-                old_dims = 0
-                slot = slot_get(base_u + p)
-                if slot is not None:
-                    s_ = stat_sum[slot]
-                    old_sq += stat_sq[slot] - (s_ * s_) / count_p
-                    old_dims += 1
-                slot = slot_get(base_v + p)
-                if slot is not None:
-                    s_ = stat_sum[slot]
-                    old_sq += stat_sq[slot] - (s_ * s_) / count_p
-                    old_dims += 1
-                a0 = psum_l[j]
-                errd += (psq_l[j] - (a0 * a0) / count_p) - old_sq
-                in_edges_removed += old_dims - 1
-            lo = hi
-            out_edges_old = len(out_slots[u]) + len(out_slots[v])
-            edges_removed = (out_edges_old - out_edges_new) + in_edges_removed
-            out.append((errd, NODE_BYTES + EDGE_BYTES * edges_removed))
-        return out
+        return [raw(u, v) for u, v in pairs]
 
     # ------------------------------------------------------------------
     # Applying a merge
@@ -823,19 +494,10 @@ class KernelPartition:
         self.in_k[u] = new_in_k
         self.in_src[v] = None
         self.in_k[v] = None
-        # Only u's in-edge state was rebuilt (``_collapse_row`` edits other
-        # clusters' *rows*, never their transposes), so u alone gets a new
-        # source-side version; v is dead.
-        self._src_version[u] += 1
-        np_in = self._np_in
-        if np_in:
-            np_in[u] = np_in[v] = None
 
         # 2. Absorb v's members.
         assign = self.assign
         owner = self.owner
-        if self._np_owner is not None:
-            self._np_owner[list(self.members[v])] = u
         for s_id in self.members[v]:
             assign[s_id] = u
             owner[s_id] = u
@@ -1000,24 +662,30 @@ class KernelPartition:
     # ------------------------------------------------------------------
 
     def to_treesketch(self) -> TreeSketch:
-        """Freeze the current partition into a TreeSketch synopsis."""
+        """Freeze the current partition into a TreeSketch synopsis.
+
+        Same table order as :meth:`MergePartition.to_treesketch` (nodes by
+        ascending id, each node's edges by ascending target).
+        """
         sketch = TreeSketch()
         count = self.count
-        for cid, label in self.cluster_label.items():
-            sketch.add_node(cid, label, count[cid])
+        ids = sorted(self.cluster_label)
+        for cid in ids:
+            sketch.add_node(cid, self.cluster_label[cid], count[cid])
         stat_tgt = self.stat_tgt
         stat_sum = self.stat_sum
         stat_sq = self.stat_sq
-        for cid in self.cluster_label:
+        for cid in ids:
             c_count = count[cid]
-            for slot in self.out_slots[cid]:
-                t = stat_tgt[slot]
+            for t, slot in sorted(
+                (stat_tgt[slot], slot) for slot in self.out_slots[cid]
+            ):
                 s = stat_sum[slot]
                 sketch.add_edge(cid, t, s / c_count)
                 sketch.stats[(cid, t)] = (s, stat_sq[slot])
         sketch.root_id = self.assign[self.stable.root_id]
         sketch.doc_height = self.stable.doc_height
-        sketch.members = {cid: set(mem) for cid, mem in self.members.items()}
+        sketch.members = {cid: set(self.members[cid]) for cid in ids}
         return sketch
 
     def out_dims(self, cid: int) -> Dict[int, Tuple[float, float]]:

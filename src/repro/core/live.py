@@ -48,7 +48,7 @@ import heapq
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.build import TreeSketchBuilder, TSBuildOptions
 from repro.core.maintain import StableMaintainer
@@ -1002,32 +1002,6 @@ class SketchMaintainer:
             }
             annotate_sketch_values(sketch, summaries)
         return sketch
-
-    def drift_reference(
-        self, every: int = 100
-    ) -> Callable[[object], float]:
-        """A shadow-sampler reference that estimates against a periodic
-        full rebuild of the current document (docs/MAINTENANCE.md).
-
-        The returned callable rebuilds a fresh TSBUILD sketch at most
-        every ``every`` mutations and answers estimates from it -- plug it
-        into :class:`repro.serve.shadow.ShadowSampler` to measure the
-        maintained sketch's drift vs. a from-scratch build.
-        """
-        from repro.core.estimate import estimate_selectivity
-        from repro.core.evaluate import eval_query
-
-        state = {"at": -1, "sketch": None}
-
-        def reference(query) -> float:
-            if state["sketch"] is None or self.mutations - state["at"] >= every:
-                state["sketch"] = TreeSketchBuilder(
-                    self.stable.summary(), self.build_options
-                ).compress_to(self.budget_bytes)
-                state["at"] = self.mutations
-            return estimate_selectivity(eval_query(state["sketch"], query))
-
-        return reference
 
     def info(self) -> Dict[str, object]:
         part = self.partition

@@ -1,8 +1,11 @@
 """Optional numpy: one place to gate every vectorized code path.
 
-Every consumer of numpy in this codebase (the array-scoring kernel's
-diagnostics, batch selectivity estimation) goes through :func:`get_numpy`
-so that
+The core's optional numpy paths -- batch selectivity estimation
+(:func:`repro.core.estimate.estimate_selectivity_batch`) and the array
+kernel's diagnostics (``KernelPartition.csr_arrays`` and its invariant
+audit) -- go through :func:`get_numpy`.  TSBUILD's scoring never uses
+numpy, so a build's output is the same with or without it.  The gate
+makes sure that
 
 * environments without numpy degrade to the pure-python fallbacks
   automatically, and
@@ -38,12 +41,3 @@ def get_numpy():
 
 def have_numpy() -> bool:
     return get_numpy() is not None
-
-
-def np_index_dtype(np):
-    """The dtype vectorized kernels use for id/index arrays.
-
-    ``np.intp`` matches the width CPython itself indexes with, so gathers
-    and ``np.add.at`` scatters take the no-conversion fast path.
-    """
-    return np.intp

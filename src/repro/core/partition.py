@@ -391,15 +391,8 @@ class MergePartition:
         memo[key] = (ver_u, ver_v, ratio, errd, sized)
         return ratio, errd, sized
 
-    def eval_block(self, pairs: List[Tuple[int, int]],
-                   min_sources: Optional[int] = None) -> List[Tuple[float, int]]:
-        """``(errd, sized)`` per pair (``min_sources`` is a routing hint
-        for the vectorized override; it never changes the result).
-
-        Serial here; :class:`repro.core.kernel.KernelPartition` overrides
-        this with a vectorized pass when its numpy path is enabled.  Both
-        implementations are bitwise-identical to per-pair ``_eval_raw``.
-        """
+    def eval_block(self, pairs: List[Tuple[int, int]]) -> List[Tuple[float, int]]:
+        """``(errd, sized)`` per pair: CREATEPOOL's batch scoring call."""
         raw = self._eval_raw
         return [raw(u, v) for u, v in pairs]
 
@@ -520,18 +513,27 @@ class MergePartition:
     # ------------------------------------------------------------------
 
     def to_treesketch(self) -> TreeSketch:
-        """Freeze the current partition into a TreeSketch synopsis."""
+        """Freeze the current partition into a TreeSketch synopsis.
+
+        Nodes go in by ascending id and each node's edges by ascending
+        target: the order the JSON and ``.tsb`` loaders rebuild.  The
+        estimators sum floats in table order, so any other order lets the
+        built sketch answer differently from its own saved copy.
+        """
         sketch = TreeSketch()
-        for cid, label in self.cluster_label.items():
-            sketch.add_node(cid, label, self.count[cid])
-        for cid, out in self.out_stats.items():
+        ids = sorted(self.cluster_label)
+        for cid in ids:
+            sketch.add_node(cid, self.cluster_label[cid], self.count[cid])
+        for cid in ids:
             count = self.count[cid]
-            for t, (s, sq) in out.items():
+            out = self.out_stats[cid]
+            for t in sorted(out):
+                s, sq = out[t]
                 sketch.add_edge(cid, t, s / count)
                 sketch.stats[(cid, t)] = (s, sq)
         sketch.root_id = self.root_cluster()
         sketch.doc_height = self.doc_height()
-        sketch.members = {cid: set(mem) for cid, mem in self.members.items()}
+        sketch.members = {cid: set(self.members[cid]) for cid in ids}
         return sketch
 
     def check_invariants(self) -> None:

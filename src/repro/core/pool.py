@@ -22,23 +22,21 @@ Performance machinery (docs/PERFORMANCE.md):
 * within one call, each label's partner list (and its key-sorted variant)
   is accumulated level by level with linear merges instead of the seed's
   per-level re-sort;
-* ``memoize=True`` scores through the partition's versioned merge memo, so
-  pairs whose neighbourhood is unchanged since the previous regeneration
-  are not re-scored;
-* ``workers > 1`` fans the miss-scoring across a fork-based process pool,
-  one task per (label, depth) group, merging results into the same
-  deterministic bounded-best structure.
+* scoring goes through the partition's versioned merge memo, so pairs
+  whose neighbourhood is unchanged since the previous regeneration are
+  not re-scored.
 
-All variants emit the *same candidate set* as the seed implementation
-(:func:`create_pool_reference`): candidate selection in the bounded heap is
-a top-``Uh`` under a total order, hence independent of scoring order.
+:func:`create_pool` emits the *same candidate set* as the seed
+implementation (:func:`create_pool_reference`): candidate selection in the
+bounded heap is a top-``Uh`` under a total order, hence independent of
+scoring order.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.partition import MergePartition
 
@@ -58,7 +56,7 @@ class _BoundedBest:
 
     Selection is a top-``limit`` under the *total* order of the (negated)
     entry tuples, so the retained set does not depend on push order — the
-    property the incremental and parallel generation paths rely on.
+    property the incremental generation path relies on.
     """
 
     def __init__(self, limit: int) -> None:
@@ -252,45 +250,6 @@ def _level_pairs(
 
 
 # ----------------------------------------------------------------------
-# Parallel scoring (workers > 1): fork-based process pool
-# ----------------------------------------------------------------------
-
-_WORKER_PARTITION = None  # MergePartition or KernelPartition (fork-shared)
-
-
-def _worker_init(partition) -> None:
-    global _WORKER_PARTITION
-    _WORKER_PARTITION = partition
-
-
-def _worker_score(pairs: List[Tuple[int, int]]) -> List[PoolEntry]:
-    part = _WORKER_PARTITION
-    raw = part._eval_raw
-    out: List[PoolEntry] = []
-    append = out.append
-    for u, v in pairs:
-        errd, sized = raw(u, v)
-        ratio = errd / sized if sized > 0 else float("inf")
-        append((ratio, errd, sized, u, v))
-    return out
-
-
-def _make_worker_pool(partition, workers: int):
-    """A fork-context pool whose workers share ``partition`` by COW memory.
-
-    Returns None when fork is unavailable (caller falls back to serial).
-    """
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
-    return ctx.Pool(processes=workers, initializer=_worker_init,
-                    initargs=(partition,))
-
-
-# ----------------------------------------------------------------------
 # Optimized CREATEPOOL
 # ----------------------------------------------------------------------
 
@@ -302,8 +261,6 @@ def create_pool(
     stop_when_full: bool = False,
     *,
     state: Optional[PoolState] = None,
-    memoize: bool = False,
-    workers: int = 1,
 ) -> List[PoolEntry]:
     """Generate up to ``heap_upper`` scored merge candidates, bottom-up.
 
@@ -316,47 +273,29 @@ def create_pool(
     pool ablation benchmark); scanning costs the same asymptotics and
     strictly improves the candidate set.
 
-    ``state`` reuses an incrementally maintained :class:`PoolState`
-    instead of regrouping from scratch; ``memoize`` routes scoring through
-    the partition's versioned merge memo; ``workers > 1`` scores memo
-    misses on a process pool.  All combinations return the same candidate
-    set (property-tested in tests/test_build_equivalence.py).
+    ``state`` is the :class:`PoolState` a builder keeps across
+    regenerations (a fresh one is made when omitted).  Scores are served
+    from, and written to, the partition's versioned merge memo (enabled
+    on first use).  The candidate set equals
+    :func:`create_pool_reference`'s (property-tested in
+    tests/test_build_equivalence.py).
     """
     best = _BoundedBest(heap_upper)
+    if state is None:
+        state = PoolState(partition)
 
-    if state is not None:
-        groups: Iterable[Dict[int, Iterable[int]]] = state.groups.values()
-        max_depth = state.max_depth
-
-        def key_of(cid: int):
-            return state.structural_key(partition, cid)
-
-    else:
-        scratch: Dict[str, Dict[int, List[int]]] = {}
-        max_depth = 0
-        depth_of = partition.cluster_depth
-        for cid, label in partition.cluster_label.items():
-            depth = depth_of[cid]
-            scratch.setdefault(label, {}).setdefault(depth, []).append(cid)
-            if depth > max_depth:
-                max_depth = depth
-        groups = scratch.values()
-        key_cache: Dict[int, Tuple[float, float, int]] = {}
-
-        def key_of(cid: int):
-            key = key_cache.get(cid)
-            if key is None:
-                key = key_cache[cid] = _structural_key(partition, cid)
-            return key
+    def key_of(cid: int):
+        return state.structural_key(partition, cid)
 
     # Labels where any merge is possible at all.
     active = [
         (buckets, _LabelAccumulator())
-        for buckets in groups
+        for buckets in state.groups.values()
         if sum(len(b) for b in buckets.values()) >= 2
     ]
 
-    memo = partition.merge_memo if memoize else None
+    partition.enable_memo()
+    memo = partition.merge_memo
     version = partition.version
     eval_block = partition.eval_block
 
@@ -364,104 +303,49 @@ def create_pool(
     heap = best._heap
     heappush, heapreplace = heapq.heappush, heapq.heapreplace
 
-    worker_pool = None
-    if workers and workers > 1:
-        worker_pool = _make_worker_pool(partition, workers)
-    try:
-        for level in range(max_depth + 1):
-            tasks: List[List[Tuple[int, int]]] = []
-            for buckets, acc in active:
-                news = buckets.get(level)
-                if not news:
-                    continue
-                pairs = _level_pairs(
-                    list(news) if not isinstance(news, list) else news,
-                    acc, pair_window, key_of,
-                )
-                if not pairs:
-                    continue
-                if memo is not None:
-                    # Serve memo hits inline; only misses need scoring.
-                    hits = 0
-                    misses: List[Tuple[int, int]] = []
-                    miss = misses.append
-                    for pair in pairs:
-                        entry = memo.get(pair)
-                        if (
-                            entry is not None
-                            and entry[0] == version[pair[0]]
-                            and entry[1] == version[pair[1]]
-                        ):
-                            hits += 1
-                            if entry[4] <= 0:
-                                continue  # non-improving: never pooled
-                            item = (-entry[2], entry[3], entry[4],
-                                    pair[0], pair[1])
-                            if len(heap) < heap_upper:
-                                heappush(heap, item)
-                            elif item > heap[0]:
-                                heapreplace(heap, item)
-                        else:
-                            miss(pair)
-                    partition.memo_hits += hits
-                    pairs = misses
-                    if not pairs:
-                        continue
-                if worker_pool is not None:
-                    tasks.append(pairs)
-                    continue
-                if memo is not None:
-                    partition.memo_misses += len(pairs)
-                    # eval_block == per-pair raw() bitwise; it only
-                    # vectorizes on the numpy kernel (large unions).
-                    for (u, v), (errd, sized) in zip(
-                        pairs, eval_block(pairs)
-                    ):
-                        if sized > 0:
-                            ratio = errd / sized
-                        else:
-                            ratio = float("inf")
-                        memo[(u, v)] = (version[u], version[v],
-                                        ratio, errd, sized)
-                        if sized <= 0:
-                            continue  # non-improving: skip at insertion
-                        item = (-ratio, errd, sized, u, v)
-                        if len(heap) < heap_upper:
-                            heappush(heap, item)
-                        elif item > heap[0]:
-                            heapreplace(heap, item)
+    for level in range(state.max_depth + 1):
+        for buckets, acc in active:
+            news = buckets.get(level)
+            if not news:
+                continue
+            pairs = _level_pairs(list(news), acc, pair_window, key_of)
+            # Serve memo hits inline; only misses need scoring.
+            hits = 0
+            misses: List[Tuple[int, int]] = []
+            miss = misses.append
+            for pair in pairs:
+                entry = memo.get(pair)
+                if (
+                    entry is not None
+                    and entry[0] == version[pair[0]]
+                    and entry[1] == version[pair[1]]
+                ):
+                    hits += 1
+                    if entry[4] <= 0:
+                        continue  # non-improving: never pooled
+                    item = (-entry[2], entry[3], entry[4], pair[0], pair[1])
+                    if len(heap) < heap_upper:
+                        heappush(heap, item)
+                    elif item > heap[0]:
+                        heapreplace(heap, item)
                 else:
-                    for (u, v), (errd, sized) in zip(
-                        pairs, eval_block(pairs)
-                    ):
-                        if sized <= 0:
-                            continue  # non-improving: skip at insertion
-                        item = (-(errd / sized), errd, sized, u, v)
-                        if len(heap) < heap_upper:
-                            heappush(heap, item)
-                        elif item > heap[0]:
-                            heapreplace(heap, item)
-            if worker_pool is not None and tasks:
-                for chunk in worker_pool.map(_worker_score, tasks):
-                    if memo is not None:
-                        partition.memo_misses += len(chunk)
-                    for ratio, errd, sized, u, v in chunk:
-                        if memo is not None:
-                            memo[(u, v)] = (version[u], version[v],
-                                            ratio, errd, sized)
-                        if sized <= 0:
-                            continue  # non-improving: skip at insertion
-                        item = (-ratio, errd, sized, u, v)
-                        if len(heap) < heap_upper:
-                            heappush(heap, item)
-                        elif item > heap[0]:
-                            heapreplace(heap, item)
-            if stop_when_full and len(best) >= heap_upper:
-                break
-    finally:
-        if worker_pool is not None:
-            worker_pool.close()
-            worker_pool.join()
+                    miss(pair)
+            partition.memo_hits += hits
+            if not misses:
+                continue
+            partition.memo_misses += len(misses)
+            for (u, v), (errd, sized) in zip(misses, eval_block(misses)):
+                ratio = errd / sized if sized > 0 else float("inf")
+                memo[(u, v)] = (version[u], version[v], ratio, errd, sized)
+                if sized <= 0:
+                    continue  # non-improving: skip at insertion
+                item = (-ratio, errd, sized, u, v)
+                if len(heap) < heap_upper:
+                    heappush(heap, item)
+                elif item > heap[0]:
+                    heapreplace(heap, item)
+        if stop_when_full and len(best) >= heap_upper:
+            break
     return best.entries()
 
 

@@ -86,20 +86,17 @@ class TestKernelAutoSelection:
 
     def test_sparse_shape_selects_kernel(self, stable, monkeypatch):
         from repro.core.build import AUTO_DICTS_DENSITY
-        from repro.core.npsupport import have_numpy
 
         density = stable.num_edges / max(1, len(stable.count))
         assert density < AUTO_DICTS_DENSITY
-        # With numpy present the kernel is upgraded to vectorized block
-        # scoring; without it, auto stays on the plain arrays kernel.
+        # The choice does not depend on numpy being importable.
         flat = self._flat_counters(stable)
-        expected = "numpy" if have_numpy() else "arrays"
-        assert flat[f"counters.tsbuild.kernel_{expected}"] == 1
+        assert flat["counters.tsbuild.kernel_arrays"] == 1
         assert "counters.tsbuild.kernel_dicts" not in flat
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         flat = self._flat_counters(stable)
         assert flat["counters.tsbuild.kernel_arrays"] == 1
-        assert "counters.tsbuild.kernel_numpy" not in flat
+        assert "counters.tsbuild.kernel_dicts" not in flat
 
     def test_explicit_kernels_still_honoured(self, stable):
         flat = self._flat_counters(stable, kernel="dicts")

@@ -199,24 +199,22 @@ class TestNonImprovingMerges:
         assert part.scored_merge(u, v) == (float("inf"), 1.0, 0)
         assert part.memo_hits == 1
 
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_pool_skips_non_improving_candidates(self, memoize, monkeypatch):
+    @pytest.mark.parametrize("second_pass", [False, True])
+    def test_pool_skips_non_improving_candidates(self, second_pass, monkeypatch):
         from repro.core.pool import PoolState, create_pool
 
         part = MergePartition(build_stable(make_random_tree(random.Random(1), 80)))
         assert label_pairs(part), "need at least one candidate pair"
         monkeypatch.setattr(part, "_eval_raw", lambda u, v: (1.0, 0))
-        state = None
-        if memoize:
-            part.enable_memo()
-            state = PoolState(part)
-        pool = create_pool(part, 100, None, state=state, memoize=memoize)
-        assert pool == []
-        if memoize:
-            # The memoized entries are re-served on the second pass and
-            # must stay excluded there too.
-            assert create_pool(part, 100, None, state=state, memoize=True) == []
-            assert part.memo_hits > 0
+        if not second_pass:
+            assert create_pool(part, 100, None) == []
+            return
+        state = PoolState(part)
+        assert create_pool(part, 100, None, state=state) == []
+        # The memoized entries are re-served on the second pass and must
+        # stay excluded there too.
+        assert create_pool(part, 100, None, state=state) == []
+        assert part.memo_hits > 0
 
     def test_kernel_scored_merge_guards_sized(self, monkeypatch):
         from repro.core.kernel import KernelPartition

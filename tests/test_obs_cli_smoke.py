@@ -78,16 +78,6 @@ class TestKernelFlag:
         out = self._stats_out(xml_file, tmp_path, capsys, "--kernel", "dicts")
         assert "tsbuild.kernel_dicts" in out
 
-    def test_kernel_numpy_reports_block_counters(self, xml_file, tmp_path,
-                                                 capsys):
-        from repro.core.npsupport import have_numpy
-
-        if not have_numpy():
-            pytest.skip("numpy unavailable")
-        out = self._stats_out(xml_file, tmp_path, capsys, "--kernel", "numpy")
-        assert "tsbuild.kernel_numpy" in out
-        assert "tsbuild.block_rescores" in out
-
     def test_unknown_kernel_rejected(self, xml_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["build", xml_file, "--budget-kb", "1",

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core.build import build_treesketch
+from repro.core.build import TSBuildOptions, build_treesketch
 from repro.core.estimate import estimate_selectivity
 from repro.core.evaluate import eval_query
 from repro.core.expand import expand_result
@@ -43,9 +43,10 @@ def _save_both(synopsis, tmp_path):
     return str(json_path), str(tsb_path)
 
 
-def _random_sketch(seed=7, size=500, budget=4000):
+def _random_sketch(seed=7, size=500, budget=4000, kernel="auto"):
     tree = make_random_tree(random.Random(seed), size)
-    return build_treesketch(build_stable(tree), budget)
+    return build_treesketch(build_stable(tree), budget,
+                            TSBuildOptions(kernel=kernel))
 
 
 class TestTablesBitwiseIdentical:
@@ -77,6 +78,15 @@ class TestTablesBitwiseIdentical:
         assert list(a.stats.items()) == list(b.stats.items())
         assert a.members == b.members and list(a.members) == list(b.members)
         b.validate()
+        # The sketch TSBUILD returns already has the stores' table order,
+        # so it answers exactly like its own saved copy.
+        for built in (sketch, _random_sketch(kernel="dicts"),
+                      _random_sketch(kernel="arrays")):
+            json_path, _ = _save_both(built, tmp_path)
+            loaded = load_synopsis(json_path)
+            self.assert_tables_match(built, loaded)
+            assert list(built.stats.items()) == list(loaded.stats.items())
+            assert list(built.members) == list(loaded.members)
 
     def test_random_sketch(self, tmp_path):
         sketch = _random_sketch()
