@@ -25,15 +25,17 @@ duplicating evaluation work, which is the right trade on the single-core
 hosts this targets.  Two readers deliberately sidestep that lock:
 :meth:`QueryCache.info` falls back to a lock-free (GIL-atomic) snapshot
 so the server's control plane never blocks behind a slow query, and
-:meth:`QueryCache.peek_selectivity` answers from cache only -- the
-degraded serving path that must not add evaluation work.
+:meth:`QueryCache.peek_selectivity` answers from cache only and declines
+when the lock is busy -- the daemon's event loop uses it to answer cache
+hits (degraded evals included) without evaluating and without waiting
+for a worker, handing everything it declines to the pool.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.estimate import estimate_selectivity, estimate_selectivity_batch
 from repro.core.evaluate import ResultSketch, eval_query
@@ -79,9 +81,10 @@ class QueryCache:
 
     # ------------------------------------------------------------------
 
-    def _entry(self, query: TwigQuery) -> list:
+    def _entry(self, query: TwigQuery, key: str) -> list:
+        """The LRU entry of ``query`` (canonical text ``key``), evaluated
+        on a miss.  Callers render ``key`` once and pass it down."""
         metrics = get_metrics()
-        key = str(query)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -101,7 +104,7 @@ class QueryCache:
 
     def result(self, query: TwigQuery) -> ResultSketch:
         """The (cached) result sketch of ``query``; treat as read-only."""
-        return self._entry(query)[0]
+        return self._entry(query, str(query))[0]
 
     def _seeded_lookup(self, key: str) -> Optional[float]:
         """A sidecar-seeded selectivity for ``key``, counted as a hit.
@@ -119,12 +122,13 @@ class QueryCache:
 
     def selectivity(self, query: TwigQuery) -> float:
         """The (cached) estimated binding-tuple count of ``query``."""
+        key = str(query)
         with self._lock:
-            if str(query) not in self._entries:
-                seeded = self._seeded_lookup(str(query))
+            if key not in self._entries:
+                seeded = self._seeded_lookup(key)
                 if seeded is not None:
                     return seeded
-            entry = self._entry(query)
+            entry = self._entry(query, key)
             if entry[1] is None:
                 entry[1] = estimate_selectivity(entry[0])
             return entry[1]
@@ -146,13 +150,14 @@ class QueryCache:
             seeded: Dict[int, float] = {}
             entries: list = []
             for i, query in enumerate(queries):
-                if str(query) not in self._entries:
-                    value = self._seeded_lookup(str(query))
+                key = str(query)
+                if key not in self._entries:
+                    value = self._seeded_lookup(key)
                     if value is not None:
                         seeded[i] = value
                         entries.append(None)
                         continue
-                entries.append(self._entry(query))
+                entries.append(self._entry(query, key))
             missing = []
             for entry in entries:
                 if (entry is not None and entry[1] is None
@@ -166,29 +171,37 @@ class QueryCache:
             return [seeded[i] if entry is None else entry[1]
                     for i, entry in enumerate(entries)]
 
-    def peek_selectivity(self, query: TwigQuery) -> Optional[float]:
-        """Cached-only selectivity: ``None`` on a miss or lock contention.
+    def peek_selectivity(
+        self, query: TwigQuery, with_result: bool = False,
+    ) -> "Optional[Union[float, Tuple[float, ResultSketch]]]":
+        """Cached-only answer: ``None`` on a miss or lock contention.
 
-        Never calls ``eval_query`` -- this is the serving daemon's
-        degraded path, which must not add evaluation work to an already
-        overloaded server.  A hit counts as a cache hit and memoizes the
-        (cheap) selectivity over the already-cached result sketch; a
-        miss leaves the miss tally untouched because nothing was
-        evaluated.
+        Never calls ``eval_query`` and never waits for the lock: the
+        serving daemon answers cache hits with it on its event loop, which
+        must neither evaluate nor stall behind a worker's single-flight
+        ``eval_query``.  Returns the selectivity, or with ``with_result``
+        the pair ``(selectivity, result sketch)`` -- which a sidecar-seeded
+        selectivity cannot answer, having no result sketch.  A hit
+        memoizes the (cheap) selectivity over the cached result sketch and
+        tallies one hit per value returned, as ``selectivity()`` alone or
+        ``result()`` then ``selectivity()`` would, so the hit ratio does
+        not depend on which path answered.  A miss leaves the miss tally
+        untouched because nothing was evaluated.
         """
+        key = str(query)
         if not self._lock.acquire(blocking=False):
             return None
         try:
-            key = str(query)
             entry = self._entries.get(key)
             if entry is None:
-                return self._seeded_lookup(key)
+                return None if with_result else self._seeded_lookup(key)
             self._entries.move_to_end(key)
-            self.hits += 1
-            get_metrics().counter("eval.cache.hits").inc()
+            lookups = 2 if with_result else 1
+            self.hits += lookups
+            get_metrics().counter("eval.cache.hits").inc(lookups)
             if entry[1] is None:
                 entry[1] = estimate_selectivity(entry[0])
-            return entry[1]
+            return (entry[1], entry[0]) if with_result else entry[1]
         finally:
             self._lock.release()
 

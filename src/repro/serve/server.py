@@ -7,20 +7,25 @@ per-sketch :class:`~repro.core.qcache.QueryCache` -- runs on a small
 thread pool so a slow query can never stall the control plane (``health``
 keeps answering while the workers grind).  Every data-plane request
 passes the :class:`~repro.serve.admission.AdmissionController`: beyond
-``max_pending`` it is shed with a structured ``overloaded`` error, above
-the ``degrade_watermark`` an ``eval`` is answered from the query cache
-only (selectivity with ``degraded: true``, or ``overloaded`` on a cache
-miss -- degradation must shed compute, not just response bytes), and
-each admitted request runs under a deadline (``deadline_ms`` in the
-request, else the server default) that maps to a ``deadline_exceeded``
-error when it fires.  A deadline abandons the response, not the slot:
-the admission slot is returned only when the worker actually finishes,
-so admission always bounds real in-flight compute and sustained
-timeouts surface as ``overloaded`` instead of an unbounded executor
-queue.  Responses are capped at ``protocol.MAX_LINE_BYTES`` like
-requests; an oversized one is replaced by a structured
-``response_too_large`` error so the client's line framing never
-desynchronizes.  The full protocol is specified in docs/SERVING.md.
+``max_pending`` it is shed with a structured ``overloaded`` error.  An
+admitted ``estimate`` or ``eval`` whose answer is already cached is then
+answered on the event loop itself -- a non-blocking, never-evaluating
+cache lookup, so a hit skips the worker hop and never queues behind a
+busy worker; a miss or a cache lock held by a worker hands the request
+to the pool.  Above the ``degrade_watermark`` an ``eval`` is answered on
+the loop from the query cache only (selectivity with ``degraded: true``,
+or ``overloaded`` on a cache miss -- degradation must shed compute, not
+just response bytes).  Each request sent to the pool runs under a
+deadline (``deadline_ms`` in the request, else the server default) that
+maps to a ``deadline_exceeded`` error when it fires.  A deadline
+abandons the response, not the slot: the admission slot is returned
+only when the worker actually finishes, so admission always bounds real
+in-flight compute and sustained timeouts surface as ``overloaded``
+instead of an unbounded executor queue.  Responses are capped at
+``protocol.MAX_LINE_BYTES`` like requests; an oversized one is replaced
+by a structured ``response_too_large`` error so the client's line
+framing never desynchronizes.  The full protocol is specified in
+docs/SERVING.md.
 
 The operational telemetry plane rides alongside: ``metrics_port``
 starts the HTTP exposition sidecar (``/metrics`` Prometheus text,
@@ -49,10 +54,10 @@ import threading
 import uuid
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.estimate import estimate_bindings
+from repro.core.evaluate import ResultSketch
 from repro.core.expand import ExpansionLimitError, expand_result
 from repro.core.explain import explain_estimate
 from repro.obs import get_clock, get_metrics, get_tracer
@@ -74,10 +79,12 @@ class ServeConfig:
     ``port=0`` binds an ephemeral port (read it back from
     ``server.address`` after ``start()``).  ``workers`` sizes the
     compute thread pool -- 1 is right for a single-core host and keeps
-    sketch computation fully serialized.  ``handler_delay_s`` is a
-    test/debug knob: it delays each admitted data-plane request while
-    holding its admission slot, which makes queue-pressure scenarios
-    (shedding, degradation, deadlines) reproducible.
+    sketch computation fully serialized; cached answers never use the
+    pool (the event loop reads them from the query cache).
+    ``handler_delay_s`` is a test/debug knob: it delays each admitted
+    request that reaches the pool while holding its admission slot,
+    which makes queue-pressure scenarios (shedding, deadlines)
+    reproducible; cached answers and degraded evals skip it.
 
     Telemetry plane (docs/OBSERVABILITY.md): ``metrics_port`` (non-None)
     starts the HTTP exposition sidecar -- ``/metrics`` (Prometheus
@@ -605,11 +612,42 @@ class SketchServer:
                 "retry with backoff",
             )
         degraded = decision is Decision.DEGRADE and request["op"] == "eval"
+        # The shadow sample's epoch is read before the answer: an update
+        # landing in between can then only make the sample look stale
+        # (dropped), never score a pre-mutation answer as post-mutation.
+        epoch = registered.cache.epoch
+        try:
+            payload = self._answer_cached(request, registered, query, degraded)
+        except BaseException:
+            self.admission.release()
+            raise
+        if payload is None:
+            # Only what the cache cannot answer pays the hop to the
+            # worker pool, which takes the admission slot over.
+            payload = await self._answer_on_pool(request, registered, query)
+        else:
+            self.admission.release()
+        # Shadow accuracy sampling happens here, on the event loop,
+        # *after* the answer is complete and outside the admission-held
+        # critical section: offer() is an O(1) accumulator bump plus a
+        # non-blocking enqueue; the reference evaluation runs on the
+        # sampler's own thread, never a worker slot.
+        if (self._shadow is not None
+                and request["op"] in ("estimate", "eval")
+                and not payload.get("degraded")):
+            self._shadow.offer(registered.name, query,
+                               payload["selectivity"], epoch=epoch)
+        return protocol.ok_response(request, **payload)
+
+    async def _answer_on_pool(self, request: Dict[str, Any],
+                              registered: RegisteredSketch,
+                              query: TwigQuery) -> Dict[str, Any]:
+        """Compute one admitted request on the worker pool (or in an
+        estimate batch) under its deadline; owns the admission slot."""
         deadline_s = (
             float(request.get("deadline_ms",
                               self.config.default_deadline_ms)) / 1000.0
         )
-        work = partial(self._execute, request, registered, query, degraded)
         submitted: Optional[Future] = None
         coalesced: Optional[asyncio.Future] = None
         try:
@@ -633,45 +671,81 @@ class SketchServer:
                     coalesced = self._batcher.enqueue(
                         registered, query, request)
                     return await asyncio.shield(coalesced)
-                submitted = self._executor.submit(work)
+                submitted = self._executor.submit(
+                    self._execute, request, registered, query)
                 submitted.add_done_callback(
                     lambda _f: self.admission.release())
                 return await asyncio.wrap_future(submitted)
 
             try:
-                payload = await asyncio.wait_for(_admitted(), timeout=deadline_s)
+                return await asyncio.wait_for(_admitted(), timeout=deadline_s)
             except asyncio.TimeoutError:
                 get_metrics().counter("serve.deadline_exceeded").inc()
                 raise ProtocolError(
                     "deadline_exceeded",
                     f"request exceeded its {deadline_s * 1000:.0f} ms deadline",
                 )
-            # Shadow accuracy sampling happens here, on the event loop,
-            # *after* the answer is complete and outside the admission-
-            # held critical section: offer() is an O(1) accumulator bump
-            # plus a non-blocking enqueue; the reference evaluation runs
-            # on the sampler's own thread, never a worker slot.
-            if (self._shadow is not None
-                    and request["op"] in ("estimate", "eval")
-                    and not payload.get("degraded")):
-                self._shadow.offer(registered.name, query,
-                                   payload["selectivity"],
-                                   epoch=registered.cache.epoch)
-            return protocol.ok_response(request, **payload)
         finally:
             if submitted is None and coalesced is None:
                 # Never reached the worker pool (nor a batch).
                 self.admission.release()
 
+    def _answer_cached(self, request: Dict[str, Any],
+                       registered: RegisteredSketch, query: TwigQuery,
+                       degraded: bool) -> Optional[Dict[str, Any]]:
+        """An ``estimate`` / ``eval`` reply built from the query cache on
+        the event loop, or None to hand the request to the worker pool.
+
+        The lookup never evaluates and never waits: a miss, or the cache
+        lock held by a worker mid-``eval_query``, declines.  A degraded
+        eval is cache-only by definition, so it never declines -- it
+        answers the cached selectivity flagged ``degraded: true``, or
+        ``overloaded`` (degradation must shed compute, not just response
+        bytes).  A reply made here records the ``serve.execute`` span the
+        pool would have.
+        """
+        op = request["op"]
+        if op not in ("estimate", "eval"):
+            return None
+        clock = get_clock()
+        started = clock.now()
+        full = op == "eval" and not degraded
+        hit = registered.cache.peek_selectivity(query, with_result=full)
+        if hit is None and not degraded:
+            return None  # a miss or a busy lock: the pool evaluates
+        try:
+            if hit is None:
+                raise ProtocolError(
+                    "overloaded",
+                    "server is degraded and this query's selectivity "
+                    "is not cached; retry with backoff",
+                )
+            metrics = get_metrics()
+            metrics.counter("serve.cached_answers").inc()
+            if not full:
+                payload = {"sketch": registered.name, "selectivity": hit}
+                if degraded:
+                    metrics.counter("serve.degraded").inc()
+                    payload["degraded"] = True
+                return payload
+            selectivity, result = hit
+            return _eval_payload(registered.name, selectivity, result)
+        finally:
+            get_tracer().record(
+                "serve.execute", started, clock.now() - started,
+                op=op, sketch=registered.name,
+                request_id=request.get("request_id"),
+            )
+
     # --------------------------------------------------- worker-thread compute
 
     def _execute(self, request: Dict[str, Any], registered: RegisteredSketch,
-                 query: TwigQuery, degraded: bool) -> Dict[str, Any]:
+                 query: TwigQuery) -> Dict[str, Any]:
         """Pure sketch computation; runs on the worker pool."""
         clock = get_clock()
         started = clock.now()
         try:
-            return self._compute(request, registered, query, degraded)
+            return self._compute(request, registered, query)
         finally:
             # Worker-side half of the request trace, correlated by
             # request_id (record() is stack-free, hence thread-safe here).
@@ -682,43 +756,16 @@ class SketchServer:
             )
 
     def _compute(self, request: Dict[str, Any], registered: RegisteredSketch,
-                 query: TwigQuery, degraded: bool) -> Dict[str, Any]:
+                 query: TwigQuery) -> Dict[str, Any]:
         op = request["op"]
         cache = registered.cache
         if op == "estimate":
             return {"sketch": registered.name,
                     "selectivity": cache.selectivity(query)}
         if op == "eval":
-            if degraded:
-                # Graceful degradation must shed compute, not just
-                # response bytes: serve only an already-cached
-                # selectivity; a miss (or cache-lock contention) answers
-                # `overloaded` instead of running eval_query.
-                selectivity = cache.peek_selectivity(query)
-                if selectivity is None:
-                    raise ProtocolError(
-                        "overloaded",
-                        "server is degraded and this query's selectivity "
-                        "is not cached; retry with backoff",
-                    )
-                get_metrics().counter("serve.degraded").inc()
-                return {
-                    "sketch": registered.name,
-                    "selectivity": selectivity,
-                    "degraded": True,
-                }
             result = cache.result(query)
-            return {
-                "sketch": registered.name,
-                "selectivity": cache.selectivity(query),
-                "degraded": False,
-                "result": {
-                    "nodes": result.num_nodes,
-                    "edges": result.num_edges,
-                    "empty": result.empty,
-                },
-                "bindings": estimate_bindings(result),
-            }
+            return _eval_payload(registered.name, cache.selectivity(query),
+                                 result)
         if op == "explain":
             # Error provenance (docs/OBSERVABILITY.md "Accuracy plane"):
             # the instrumented DP decomposes the estimate into per-cluster
@@ -822,6 +869,22 @@ class SketchServer:
             self._release_slots(len(futures))
         for future, (exc, payload) in zip(futures, outcomes):
             loop.call_soon_threadsafe(_settle_future, future, exc, payload)
+
+
+def _eval_payload(name: str, selectivity: float,
+                  result: ResultSketch) -> Dict[str, Any]:
+    """The reply of a full (not degraded) ``eval``."""
+    return {
+        "sketch": name,
+        "selectivity": selectivity,
+        "degraded": False,
+        "result": {
+            "nodes": result.num_nodes,
+            "edges": result.num_edges,
+            "empty": result.empty,
+        },
+        "bindings": estimate_bindings(result),
+    }
 
 
 def _settle_future(future: "asyncio.Future", exc: Optional[BaseException],

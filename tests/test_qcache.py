@@ -161,6 +161,33 @@ def test_peek_selectivity_is_cache_only(sketch):
     assert cache.misses == 1  # only the priming result() missed
 
 
+def test_peek_with_result_is_cache_only(sketch):
+    """The serving daemon's event loop answers full evals through
+    ``peek_selectivity(with_result=True)``: a cold lookup must evaluate
+    nothing, a seeded selectivity (no result sketch) must decline, and a
+    hit must tally as the ``result()`` + ``selectivity()`` pair would."""
+    cache = QueryCache(sketch)
+    q = parse_twig("//a (//p)")
+    with obs.observed() as registry:
+        assert cache.peek_selectivity(q, with_result=True) is None
+    assert cache.misses == 0 and len(cache) == 0
+    assert "eval.queries" not in registry.snapshot()["counters"]
+    cache.seed_selectivities({str(q): 7.0})
+    assert cache.peek_selectivity(q, with_result=True) is None
+    assert cache.hits == 0  # declined, so not a hit
+    assert cache.peek_selectivity(q) == 7.0  # the plain form answers
+    assert cache.hits == 1
+    cache.invalidate()
+
+    result = cache.result(q)  # prime the entry (selectivity not memoized)
+    selectivity, peeked = cache.peek_selectivity(q, with_result=True)
+    assert peeked is result
+    assert selectivity == estimate_selectivity(eval_query(sketch, q))
+    assert cache.hits == 1 + 2 and cache.misses == 1
+    assert cache.peek_selectivity(q) == selectivity  # memoized
+    assert cache.hits == 1 + 2 + 1
+
+
 def test_peek_and_info_never_block_on_a_busy_lock(sketch):
     """While a worker holds the single-flight lock (mid eval_query), the
     control plane must still get answers: info() falls back to a
@@ -182,6 +209,7 @@ def test_peek_and_info_never_block_on_a_busy_lock(sketch):
     assert acquired.wait(10)
     try:
         assert cache.peek_selectivity(q) is None  # contended: decline
+        assert cache.peek_selectivity(q, with_result=True) is None
         info = cache.info()  # must return promptly, not deadlock
         assert info["size"] == 1 and info["misses"] == 1
     finally:

@@ -1,12 +1,13 @@
 """Request coalescing: batched estimates bitwise-equal to the scalar path.
 
 The serving workers group concurrent ``estimate`` ops against the same
-sketch into one ``estimate_selectivity_batch`` call.  That is only an
-optimization if it is *invisible*: every coalesced answer must be
-bitwise-identical to what the scalar path returns, with or without
-numpy, and the ``serve.batch.*`` counters must prove the batch path
-actually ran (otherwise this file would happily pass against a server
-that silently fell back to scalar).
+sketch into one ``estimate_selectivity_batch`` call (cache hits never get
+that far: the event loop answers them).  That is only an optimization if
+it is *invisible*: every coalesced answer must be bitwise-identical to
+what the scalar path returns, with or without numpy, and the
+``serve.batch.*`` counters must prove the batch path actually ran
+(otherwise this file would happily pass against a server that silently
+fell back to scalar).
 """
 
 import struct
@@ -103,10 +104,14 @@ class TestCoalescedEqualsScalar:
                 assert [_bits(v) for v in answers] == truth
             snapshot = metrics.snapshot()
             counters = snapshot["counters"]
-            # The batch path really ran, and it carried every estimate.
+            # The batch path really ran, and every estimate was either
+            # batched or -- a client that fell behind its batch finds the
+            # answer cached -- answered on the event loop.
             assert counters["serve.batch.flushes"] >= 1
-            assert counters["serve.batch.coalesced"] == 6 * len(QUERIES)
-            assert counters["serve.requests.estimate"] == 6 * len(QUERIES)
+            assert (counters["serve.batch.coalesced"]
+                    + counters.get("serve.cached_answers", 0)
+                    == counters["serve.requests.estimate"]
+                    == 6 * len(QUERIES))
             # And it actually coalesced: at least one batch had > 1 member
             # (six clients released by a barrier into a 50 ms window).
             assert snapshot["histograms"]["serve.batch.size"]["max"] >= 2
@@ -128,7 +133,10 @@ class TestCoalescedEqualsScalar:
                 assert [_bits(v) for v in answers] == truth
             counters = metrics.snapshot()["counters"]
             assert counters["serve.batch.flushes"] >= 1
-            assert counters["serve.batch.coalesced"] == 4 * len(QUERIES)
+            assert (counters["serve.batch.coalesced"]
+                    + counters.get("serve.cached_answers", 0)
+                    == counters["serve.requests.estimate"]
+                    == 4 * len(QUERIES))
 
     def test_coalescing_disabled_still_answers_identically(
             self, sketch, expected):

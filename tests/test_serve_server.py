@@ -8,6 +8,7 @@ eval to selectivity-only (``degraded: true``) and sheds with structured
 observability counters pinned.
 """
 
+import contextlib
 import json
 import socket
 import threading
@@ -17,7 +18,7 @@ import pytest
 
 from repro import obs
 from repro.core.build import build_treesketch
-from repro.core.estimate import estimate_selectivity
+from repro.core.estimate import estimate_bindings, estimate_selectivity
 from repro.core.evaluate import eval_query
 from repro.core.stable import build_stable
 from repro.query.parser import parse_twig
@@ -289,6 +290,166 @@ class TestGracefulDegradation:
             assert flat["counters.serve.requests.eval"] == 2
         finally:
             handle.stop()
+
+
+#: A query the ``fast`` sketch's cache holds (result sketch and
+#: selectivity) before the server starts.
+CACHED = "//a (//p (//k ?), //n ?)"
+#: How long the only worker stays stuck in sketch ``slow``.
+STUCK_S = 1.5
+
+
+class TestCachedAnswersOnTheLoop:
+    """Cache hits are answered on the event loop: they never queue behind
+    a busy worker, and the loop neither evaluates nor waits for the cache
+    lock -- a contended lookup falls back to the pool."""
+
+    @staticmethod
+    def _registry(sketches):
+        registry = SketchRegistry()
+        registry.register("slow", sketches["lossless"])
+        registry.register("fast", sketches["tight"])
+        fast = registry.get("fast").cache
+        fast.result(parse_twig(CACHED))
+        fast.selectivity(parse_twig(CACHED))
+        return registry
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _stuck_worker(handle, registry, op):
+        """Hold the only worker for STUCK_S in one ``op`` on ``slow``.
+
+        Yields ``(finished, outcome)``: the event set when the stuck
+        computation ends, and the dict its reply lands in.
+        """
+        cache = registry.get("slow").cache
+        orig_result = cache.result
+        started, finished = threading.Event(), threading.Event()
+        outcome = {}
+
+        def slow_result(query):
+            started.set()
+            time.sleep(STUCK_S)
+            try:
+                return orig_result(query)
+            finally:
+                finished.set()
+
+        def occupy():
+            with ServeClient("127.0.0.1", handle.port) as client:
+                outcome["slow"] = client.request(op, query="//a (//p)",
+                                                 sketch="slow")
+
+        cache.result = slow_result
+        thread = threading.Thread(target=occupy)
+        thread.start()
+        try:
+            assert started.wait(10), "the slow request never reached a worker"
+            yield finished, outcome
+        finally:
+            thread.join(10)
+            cache.result = orig_result
+        assert not thread.is_alive()
+
+    def test_cached_reads_answer_while_the_worker_is_busy(self, sketches):
+        registry = self._registry(sketches)
+        handle = start_server_thread(registry, ServeConfig(port=0, workers=1))
+        try:
+            with self._stuck_worker(handle, registry, "eval") as (finished,
+                                                                  outcome):
+                with ServeClient("127.0.0.1", handle.port) as client:
+                    estimate = client.estimate(CACHED, sketch="fast")
+                    response = client.eval(CACHED, sketch="fast")
+                # Neither queued behind the stuck job.
+                assert not finished.is_set()
+            assert outcome["slow"]["ok"] is True
+        finally:
+            handle.stop()
+        result = eval_query(sketches["tight"], parse_twig(CACHED))
+        assert estimate == estimate_selectivity(result)
+        assert response["degraded"] is False
+        assert response["selectivity"] == estimate_selectivity(result)
+        assert response["result"] == {
+            "nodes": result.num_nodes,
+            "edges": result.num_edges,
+            "empty": result.empty,
+        }
+        assert response["bindings"] == estimate_bindings(result)
+
+    def test_degraded_eval_answers_while_the_worker_is_busy(self, sketches):
+        registry = self._registry(sketches)
+        handle = start_server_thread(
+            registry, ServeConfig(port=0, workers=1, degrade_watermark=0))
+        try:
+            # Every eval is degraded here, so the worker is held by an
+            # expand (never degraded) instead.
+            with self._stuck_worker(handle, registry, "expand") as (finished,
+                                                                    outcome):
+                with obs.observed() as metrics:
+                    with ServeClient("127.0.0.1", handle.port) as client:
+                        response = client.eval(CACHED, sketch="fast")
+                assert not finished.is_set()
+            assert outcome["slow"]["ok"] is True
+        finally:
+            handle.stop()
+        result = eval_query(sketches["tight"], parse_twig(CACHED))
+        assert response["degraded"] is True
+        assert response["selectivity"] == estimate_selectivity(result)
+        assert "result" not in response
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.degraded"] == 1
+        assert counters["serve.cached_answers"] == 1
+
+    def test_a_contended_cache_lock_falls_back_to_the_pool(self, sketches):
+        registry = self._registry(sketches)
+        cache = registry.get("fast").cache
+        acquired, release = threading.Event(), threading.Event()
+        outcome = {}
+
+        def hold():
+            with cache._lock:
+                acquired.set()
+                release.wait(10)
+
+        def ask():
+            with ServeClient("127.0.0.1", handle.port) as client:
+                outcome["estimate"] = client.estimate(CACHED, sketch="fast")
+
+        holder = threading.Thread(target=hold)
+        asker = threading.Thread(target=ask)
+        with obs.observed() as metrics:
+            handle = start_server_thread(registry,
+                                         ServeConfig(port=0, workers=1))
+            holder.start()
+            try:
+                assert acquired.wait(10)
+                with ServeClient("127.0.0.1", handle.port,
+                                 timeout=5.0) as client:
+                    asker.start()
+                    deadline = time.monotonic() + 5.0
+                    while client.stats()["admission"]["depth"] < 1:
+                        assert time.monotonic() < deadline, \
+                            "the estimate was never admitted"
+                        time.sleep(0.01)
+                    # The loop declined the lookup instead of waiting for
+                    # the lock, so the control plane answers at once while
+                    # the estimate waits on the pool.
+                    started = time.monotonic()
+                    assert client.health()["status"] == "ok"
+                    assert time.monotonic() - started < 1.0
+                    assert asker.is_alive()
+            finally:
+                release.set()
+                holder.join(10)
+                if asker.ident is not None:
+                    asker.join(10)
+                handle.stop()
+            counters = metrics.snapshot()["counters"]
+        assert not holder.is_alive() and not asker.is_alive()
+        result = eval_query(sketches["tight"], parse_twig(CACHED))
+        assert outcome["estimate"] == estimate_selectivity(result)
+        assert "serve.cached_answers" not in counters
+        assert counters["serve.batch.coalesced"] == 1
 
 
 class TestLoadShedding:
