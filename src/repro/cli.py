@@ -528,9 +528,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         error_budget=args.error_budget,
         error_budget_window=args.error_budget_window,
         adaptive_maintenance=args.adaptive_maintain,
-        coalesce=not args.no_coalesce,
-        coalesce_window_s=args.batch_window_ms / 1000.0,
-        coalesce_max=args.batch_max,
         reuse_port=args.reuse_port,
         cache_checkpoint_s=args.cache_checkpoint_s,
     )
@@ -619,13 +616,9 @@ def _cmd_serve_supervisor(args: argparse.Namespace) -> int:
         "--max-expand-nodes", str(args.max_expand_nodes),
         "--cache-size", str(args.cache_size),
         "--threads", str(args.threads),
-        "--batch-window-ms", str(args.batch_window_ms),
-        "--batch-max", str(args.batch_max),
     ]
     if args.degrade_watermark is not None:
         worker_args += ["--degrade-watermark", str(args.degrade_watermark)]
-    if args.no_coalesce:
-        worker_args.append("--no-coalesce")
     if args.live_budget_kb:
         worker_args += ["--live-budget-kb", str(args.live_budget_kb)]
     if args.cache_checkpoint_s:
@@ -1234,14 +1227,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help=argparse.SUPPRESS)  # set by the supervisor
     p.add_argument("--reuse-port", action="store_true",
                    help=argparse.SUPPRESS)  # set by the supervisor
-    p.add_argument("--batch-window-ms", type=float, default=0.0,
-                   help="coalescing window for concurrent same-sketch "
-                        "estimates (default 0 = flush on next loop tick)")
-    p.add_argument("--batch-max", type=int, default=64,
-                   help="max coalesced estimates per batch (default 64)")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="disable estimate coalescing (one compute job per "
-                        "request, the pre-fleet behaviour)")
     p.add_argument("--max-pending", type=int, default=64,
                    help="admission bound; beyond it requests are shed with "
                         "an `overloaded` error (default 64)")

@@ -136,8 +136,7 @@ class QueryCache:
     def selectivity_batch(self, queries: "Sequence[TwigQuery]") -> "List[float]":
         """Selectivities for many queries in one pass, batch-estimated.
 
-        The single-flight lock is held across the whole batch (one
-        admission-bounded worker drives it in the serving daemon), result
+        The single-flight lock is held across the whole batch, result
         sketches come from the same LRU entries the scalar path uses, and
         the uncached selectivities are filled by
         :func:`repro.core.estimate.estimate_selectivity_batch` -- which is

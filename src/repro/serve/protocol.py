@@ -29,6 +29,7 @@ messages, and both :mod:`repro.serve.server` and
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Optional, Tuple, Union
 
 PROTOCOL_VERSION = 1
@@ -44,8 +45,9 @@ OPS = ("eval", "estimate", "explain", "expand", "update", "list_sketches",
 DATA_OPS = frozenset({"eval", "estimate", "explain", "expand"})
 
 #: Ops that mutate a sketch.  Admission-controlled like data ops, but
-#: never coalesced, never shadow-sampled, and **not idempotent** --
-#: clients must not blind-retry them (see PooledClient.update).
+#: never answered from the cache, never shadow-sampled, and **not
+#: idempotent** -- clients must not blind-retry them (see
+#: PooledClient.update).
 MUTATION_OPS = frozenset({"update"})
 
 #: Mutation actions an ``update`` request may carry.
@@ -178,11 +180,21 @@ def parse_request(line: Union[bytes, str]) -> Dict[str, Any]:
 
     deadline = request.get("deadline_ms")
     if deadline is not None:
-        if not isinstance(deadline, (int, float)) or isinstance(deadline, bool) \
-                or deadline <= 0:
+        # json reads NaN, Infinity and integers of any size: convert once,
+        # so the server's deadline timer only ever sees a finite positive
+        # float.
+        if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
+            deadline = math.nan
+        try:
+            deadline = float(deadline)
+        except OverflowError:  # an integer beyond the float range
+            deadline = math.inf
+        if not 0 < deadline < math.inf:  # NaN fails every comparison
             raise ProtocolError(
-                "bad_request", "field 'deadline_ms' must be a positive number"
+                "bad_request",
+                "field 'deadline_ms' must be a finite positive number",
             )
+        request["deadline_ms"] = deadline
 
     if op in DATA_OPS:
         _require_str(request, "query")

@@ -15,7 +15,9 @@ busy worker; a miss or a cache lock held by a worker hands the request
 to the pool.  Above the ``degrade_watermark`` an ``eval`` is answered on
 the loop from the query cache only (selectivity with ``degraded: true``,
 or ``overloaded`` on a cache miss -- degradation must shed compute, not
-just response bytes).  Each request sent to the pool runs under a
+just response bytes).  Everything else -- a miss, ``expand``,
+``explain`` and the ``update`` mutation -- is exactly one job on the
+worker pool, submitted from one place (``_answer_on_pool``) under a
 deadline (``deadline_ms`` in the request, else the server default) that
 maps to a ``deadline_exceeded`` error when it fires.  A deadline
 abandons the response, not the slot: the admission slot is returned
@@ -71,6 +73,10 @@ from repro.serve.registry import LiveSketch, RegisteredSketch, SketchRegistry
 from repro.serve.shadow import ShadowSampler
 from repro.xmltree.serialize import to_xml
 
+#: Trailing window, in seconds, behind the ``serve.op.latency.<op>``
+#: percentiles that ``/statusz`` and ``treesketch top`` show.
+LATENCY_WINDOW_S = 60.0
+
 
 @dataclass
 class ServeConfig:
@@ -89,11 +95,10 @@ class ServeConfig:
     Telemetry plane (docs/OBSERVABILITY.md): ``metrics_port`` (non-None)
     starts the HTTP exposition sidecar -- ``/metrics`` (Prometheus
     text), ``/healthz``, ``/statusz`` -- on ``host:metrics_port`` (0 =
-    ephemeral; read ``server.metrics_address``).  ``latency_window_s``
-    sizes the trailing window behind the ``serve.op.latency.*``
-    percentiles.  ``shadow_fraction`` > 0 with a ``shadow_reference``
-    estimator (see :func:`repro.serve.shadow.load_reference`) enables
-    the online accuracy sampler -- **off by default**.
+    ephemeral; read ``server.metrics_address``).  ``shadow_fraction`` > 0
+    with a ``shadow_reference`` estimator (see
+    :func:`repro.serve.shadow.load_reference`) enables the online
+    accuracy sampler -- **off by default**.
     """
 
     host: str = "127.0.0.1"
@@ -105,7 +110,6 @@ class ServeConfig:
     workers: int = 1
     handler_delay_s: float = 0.0
     metrics_port: Optional[int] = None
-    latency_window_s: float = 60.0
     shadow_fraction: float = 0.0
     shadow_reference: Optional[Callable[[TwigQuery], float]] = None
     shadow_max_queue: int = 256
@@ -124,17 +128,6 @@ class ServeConfig:
     #: sketch's :class:`repro.core.live.DebtController`, which tightens
     #: and relaxes ``debt_threshold`` instead of trusting the fixed knob.
     adaptive_maintenance: bool = False
-    #: Request coalescing (docs/SERVING.md "Scaling out"): concurrent
-    #: ``estimate`` ops against one sketch are grouped into a single
-    #: ``estimate_selectivity_batch`` call.  ``coalesce_window_s`` bounds
-    #: how long the first request of a batch waits for company (0 =
-    #: flush on the next event-loop tick, so a lone request never waits);
-    #: ``coalesce_max`` flushes a batch early when it fills.  Answers are
-    #: bitwise-equal to the scalar path by construction (the batch DP
-    #: reproduces the scalar estimator's float accumulation order).
-    coalesce: bool = True
-    coalesce_window_s: float = 0.0
-    coalesce_max: int = 64
     #: Bind the listening socket with SO_REUSEPORT so several worker
     #: processes share one port and the kernel balances connections --
     #: the supervisor's ``--shard-by none`` mode.
@@ -192,7 +185,6 @@ class SketchServer:
                 ledger=self._ledger,
                 eval_delay_s=self.config.shadow_eval_delay_s,
             )
-        self._batcher = _EstimateBatcher(self) if self.config.coalesce else None
         self._checkpoint_task: Optional[asyncio.Task] = None
         self.checkpoints = 0  # completed periodic sidecar checkpoints
 
@@ -415,8 +407,7 @@ class SketchServer:
         metrics.histogram("serve.request_seconds").observe(elapsed)
         if op is not None:
             metrics.windowed(
-                f"serve.op.latency.{op}",
-                window_s=self.config.latency_window_s,
+                f"serve.op.latency.{op}", window_s=LATENCY_WINDOW_S,
             ).observe(elapsed)
         # record(), not span(): requests interleave on the event loop, so
         # the nesting stack would be corrupted -- correlation is by id.
@@ -498,14 +489,15 @@ class SketchServer:
         }
 
     async def _dispatch_update(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """One sketch mutation: admission-controlled, never coalesced.
+        """One sketch mutation: admission-controlled, on the worker pool.
 
         Updates take an admission slot like data ops (a mutation is real
-        compute: reconcile + possible re-merge + snapshot), run on the
-        worker pool, and honour deadlines.  They skip the estimate
-        batcher and the shadow sampler -- both are read-path machinery.
-        Writes against one live sketch serialize on the entry's mutation
-        lock, so concurrent updates are safe, just not parallel.
+        compute: reconcile + possible re-merge + snapshot) and run as one
+        pool job under a deadline, like a cache miss.  They skip the
+        event-loop cache lookup and the shadow sampler -- both are
+        read-path machinery.  Writes against one live sketch serialize
+        on the entry's mutation lock, so concurrent updates are safe,
+        just not parallel.
         """
         try:
             registered = self.registry.get(request.get("sketch"))
@@ -517,79 +509,16 @@ class SketchServer:
                 f"sketch {registered.name!r} is frozen; updates need a "
                 "live entry (serve a raw .xml with --live-budget-kb)",
             )
-        decision = self.admission.acquire()
-        if decision is Decision.SHED:
-            raise ProtocolError(
-                "overloaded",
-                f"admission queue full ({self.admission.max_pending} pending); "
-                "retry with backoff",
-            )
-        deadline_s = (
-            float(request.get("deadline_ms",
-                              self.config.default_deadline_ms)) / 1000.0
-        )
-        submitted: Optional[Future] = None
-        try:
-            async def _admitted() -> Dict[str, Any]:
-                nonlocal submitted
-                if self.config.handler_delay_s > 0:
-                    await asyncio.sleep(self.config.handler_delay_s)
-                submitted = self._executor.submit(
-                    self._execute_update, request, registered)
-                submitted.add_done_callback(
-                    lambda _f: self.admission.release())
-                return await asyncio.wrap_future(submitted)
-
-            try:
-                payload = await asyncio.wait_for(_admitted(),
-                                                 timeout=deadline_s)
-            except asyncio.TimeoutError:
-                get_metrics().counter("serve.deadline_exceeded").inc()
-                raise ProtocolError(
-                    "deadline_exceeded",
-                    f"update exceeded its {deadline_s * 1000:.0f} ms deadline "
-                    "(the mutation may still apply; check the epoch)",
-                )
-            # Queued shadow samples were scored against the pre-mutation
-            # sketch: advance the sampler's epoch so the drain thread
-            # drops them as stale instead of reporting bogus drift.
-            if self._shadow is not None:
-                self._shadow.note_epoch(registered.name, payload["epoch"])
-            if self._ledger is not None:
-                self._ledger.note_debt(registered.name, payload["debt"])
-            return protocol.ok_response(request, **payload)
-        finally:
-            if submitted is None:
-                self.admission.release()
-
-    def _execute_update(self, request: Dict[str, Any],
-                        registered: "LiveSketch") -> Dict[str, Any]:
-        """Apply one mutation on the worker pool; address errors -> wire codes."""
-        clock = get_clock()
-        started = clock.now()
-        metrics = get_metrics()
-        try:
-            try:
-                payload = registered.update(
-                    request["action"],
-                    parent_label=request.get("parent_label"),
-                    parent_ordinal=int(request.get("parent_ordinal", 0)),
-                    subtree=request.get("subtree"),
-                    label=request.get("label"),
-                    ordinal=int(request.get("ordinal", 0)),
-                )
-            except KeyError as exc:
-                raise ProtocolError("bad_request", exc.args[0])
-            except ValueError as exc:
-                raise ProtocolError("bad_request", str(exc))
-            metrics.counter("serve.updates").inc()
-            return payload
-        finally:
-            get_tracer().record(
-                "serve.execute", started, clock.now() - started,
-                op="update", sketch=registered.name,
-                request_id=request.get("request_id"),
-            )
+        self._admit()
+        payload = await self._answer_on_pool(request, registered)
+        # Queued shadow samples were scored against the pre-mutation
+        # sketch: advance the sampler's epoch so the drain thread
+        # drops them as stale instead of reporting bogus drift.
+        if self._shadow is not None:
+            self._shadow.note_epoch(registered.name, payload["epoch"])
+        if self._ledger is not None:
+            self._ledger.note_debt(registered.name, payload["debt"])
+        return protocol.ok_response(request, **payload)
 
     async def _dispatch_data(self, request: Dict[str, Any]) -> Dict[str, Any]:
         # Resolve cheaply *before* taking an admission slot: a request for
@@ -604,13 +533,7 @@ class SketchServer:
             raise ProtocolError(
                 "bad_query", f"cannot parse twig {request['query']!r}: {exc}")
 
-        decision = self.admission.acquire()
-        if decision is Decision.SHED:
-            raise ProtocolError(
-                "overloaded",
-                f"admission queue full ({self.admission.max_pending} pending); "
-                "retry with backoff",
-            )
+        decision = self._admit()
         degraded = decision is Decision.DEGRADE and request["op"] == "eval"
         # The shadow sample's epoch is read before the answer: an update
         # landing in between can then only make the sample look stale
@@ -639,20 +562,37 @@ class SketchServer:
                                payload["selectivity"], epoch=epoch)
         return protocol.ok_response(request, **payload)
 
+    def _admit(self) -> Decision:
+        """Take an admission slot, or shed the request as ``overloaded``.
+
+        A returned decision holds a slot: the caller either releases it
+        or hands it to :meth:`_answer_on_pool`.
+        """
+        decision = self.admission.acquire()
+        if decision is Decision.SHED:
+            raise ProtocolError(
+                "overloaded",
+                f"admission queue full ({self.admission.max_pending} pending); "
+                "retry with backoff",
+            )
+        return decision
+
     async def _answer_on_pool(self, request: Dict[str, Any],
                               registered: RegisteredSketch,
-                              query: TwigQuery) -> Dict[str, Any]:
-        """Compute one admitted request on the worker pool (or in an
-        estimate batch) under its deadline; owns the admission slot."""
-        deadline_s = (
-            float(request.get("deadline_ms",
-                              self.config.default_deadline_ms)) / 1000.0
-        )
+                              query: Optional[TwigQuery] = None
+                              ) -> Dict[str, Any]:
+        """Run one admitted request as one worker-pool job under its
+        deadline; owns the admission slot.
+
+        The only place request work reaches the executor: cache misses,
+        ``expand``, ``explain`` and ``update`` all come through here.
+        """
+        deadline_s = request.get("deadline_ms",
+                                 self.config.default_deadline_ms) / 1000.0
         submitted: Optional[Future] = None
-        coalesced: Optional[asyncio.Future] = None
         try:
             async def _admitted() -> Dict[str, Any]:
-                nonlocal submitted, coalesced
+                nonlocal submitted
                 if self.config.handler_delay_s > 0:
                     await asyncio.sleep(self.config.handler_delay_s)
                 # The admission slot travels with the computation: it is
@@ -662,15 +602,6 @@ class SketchServer:
                 # in-flight compute -- under sustained timeouts new
                 # requests shed as `overloaded` instead of piling up
                 # behind abandoned work in the executor queue.
-                if self._batcher is not None and request["op"] == "estimate":
-                    # Coalesced path: the batcher owns this request's
-                    # admission slot from here on (released when the
-                    # batch's executor job finishes).  shield() keeps a
-                    # deadline from cancelling the future the batch job
-                    # will settle from its own thread.
-                    coalesced = self._batcher.enqueue(
-                        registered, query, request)
-                    return await asyncio.shield(coalesced)
                 submitted = self._executor.submit(
                     self._execute, request, registered, query)
                 submitted.add_done_callback(
@@ -681,13 +612,17 @@ class SketchServer:
                 return await asyncio.wait_for(_admitted(), timeout=deadline_s)
             except asyncio.TimeoutError:
                 get_metrics().counter("serve.deadline_exceeded").inc()
+                limit = f"{deadline_s * 1000:.0f} ms deadline"
+                if request["op"] == "update":
+                    raise ProtocolError(
+                        "deadline_exceeded",
+                        f"update exceeded its {limit} "
+                        "(the mutation may still apply; check the epoch)",
+                    )
                 raise ProtocolError(
-                    "deadline_exceeded",
-                    f"request exceeded its {deadline_s * 1000:.0f} ms deadline",
-                )
+                    "deadline_exceeded", f"request exceeded its {limit}")
         finally:
-            if submitted is None and coalesced is None:
-                # Never reached the worker pool (nor a batch).
+            if submitted is None:  # never reached the worker pool
                 self.admission.release()
 
     def _answer_cached(self, request: Dict[str, Any],
@@ -740,8 +675,8 @@ class SketchServer:
     # --------------------------------------------------- worker-thread compute
 
     def _execute(self, request: Dict[str, Any], registered: RegisteredSketch,
-                 query: TwigQuery) -> Dict[str, Any]:
-        """Pure sketch computation; runs on the worker pool."""
+                 query: Optional[TwigQuery]) -> Dict[str, Any]:
+        """Sketch computation or one mutation; runs on the worker pool."""
         clock = get_clock()
         started = clock.now()
         try:
@@ -756,8 +691,26 @@ class SketchServer:
             )
 
     def _compute(self, request: Dict[str, Any], registered: RegisteredSketch,
-                 query: TwigQuery) -> Dict[str, Any]:
+                 query: Optional[TwigQuery]) -> Dict[str, Any]:
         op = request["op"]
+        if op == "update":
+            # An address that does not resolve (unknown label, ordinal
+            # past the end, the document root) is the client's error.
+            try:
+                payload = registered.update(
+                    request["action"],
+                    parent_label=request.get("parent_label"),
+                    parent_ordinal=int(request.get("parent_ordinal", 0)),
+                    subtree=request.get("subtree"),
+                    label=request.get("label"),
+                    ordinal=int(request.get("ordinal", 0)),
+                )
+            except KeyError as exc:
+                raise ProtocolError("bad_request", exc.args[0])
+            except ValueError as exc:
+                raise ProtocolError("bad_request", str(exc))
+            get_metrics().counter("serve.updates").inc()
+            return payload
         cache = registered.cache
         if op == "estimate":
             return {"sketch": registered.name,
@@ -806,70 +759,6 @@ class SketchServer:
             }
         raise ProtocolError("unknown_op", f"unhandled op {op!r}")  # unreachable
 
-    # ------------------------------------------------------- batch coalescing
-
-    def _release_slots(self, count: int) -> None:
-        """Return ``count`` admission slots (one per coalesced request)."""
-        for _ in range(count):
-            self.admission.release()
-
-    def _execute_batch(self, registered: RegisteredSketch,
-                       queries: list, requests: list, futures: list,
-                       loop: asyncio.AbstractEventLoop) -> None:
-        """One coalesced estimate batch; runs on the worker pool.
-
-        The whole batch is answered by a single
-        :meth:`repro.core.qcache.QueryCache.selectivity_batch` call --
-        bitwise-equal to per-query scalar estimates by construction.  A
-        failure of the batch call falls back to per-query scalar
-        estimation so one poisoned query cannot fail its neighbours.
-        """
-        metrics = get_metrics()
-        clock = get_clock()
-        started = clock.now()
-        metrics.counter("serve.batch.flushes").inc()
-        metrics.counter("serve.batch.coalesced").inc(len(queries))
-        metrics.histogram("serve.batch.size").observe(len(queries))
-        outcomes: list = []
-        try:
-            values = registered.cache.selectivity_batch(queries)
-            outcomes = [
-                (None, {"sketch": registered.name, "selectivity": value})
-                for value in values
-            ]
-        except Exception:  # noqa: BLE001 - isolate failures per query
-            for query in queries:
-                try:
-                    outcomes.append((None, {
-                        "sketch": registered.name,
-                        "selectivity": registered.cache.selectivity(query),
-                    }))
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append((exc, None))
-        finally:
-            tracer = get_tracer()
-            finished = clock.now()
-            tracer.record(
-                "serve.execute_batch", started, finished - started,
-                op="estimate", sketch=registered.name, batch=len(queries),
-            )
-            # Each member still gets its correlated `serve.execute` span
-            # (same contract as the scalar path); its duration is the
-            # batch's, since members are answered by one fused call.
-            for request in requests:
-                tracer.record(
-                    "serve.execute", started, finished - started,
-                    op="estimate", sketch=registered.name,
-                    request_id=request.get("request_id"),
-                )
-            # Slots come back *before* the futures settle so that by the
-            # time any client reads its response the admission depth no
-            # longer counts this batch (the scalar path orders its
-            # release callback ahead of wrap_future the same way).
-            self._release_slots(len(futures))
-        for future, (exc, payload) in zip(futures, outcomes):
-            loop.call_soon_threadsafe(_settle_future, future, exc, payload)
-
 
 def _eval_payload(name: str, selectivity: float,
                   result: ResultSketch) -> Dict[str, Any]:
@@ -885,85 +774,6 @@ def _eval_payload(name: str, selectivity: float,
         },
         "bindings": estimate_bindings(result),
     }
-
-
-def _settle_future(future: "asyncio.Future", exc: Optional[BaseException],
-                   payload: Optional[Dict[str, Any]]) -> None:
-    """Resolve one coalesced request's future on the event loop.
-
-    The awaiting coroutine may already have been abandoned by its
-    deadline (the future is shielded, so it is settled, not cancelled);
-    reading ``exception()`` right back marks a then-unobserved error as
-    retrieved so abandoned batch members never log spurious tracebacks.
-    """
-    if future.cancelled():
-        return
-    if exc is not None:
-        future.set_exception(exc)
-        future.exception()
-    else:
-        future.set_result(payload)
-
-
-class _EstimateBatcher:
-    """Event-loop-side coalescing of concurrent estimate requests.
-
-    All state lives on the server's event loop (no locks): ``enqueue``
-    appends the request to its sketch's pending batch and arms a flush --
-    immediately (next loop tick) with a zero window, else after
-    ``coalesce_window_s`` -- or flushes early when ``coalesce_max`` is
-    reached.  A flush submits ONE executor job for the whole batch, which
-    releases one admission slot per member when it completes, preserving
-    the invariant that admission depth counts real in-flight compute.
-    """
-
-    def __init__(self, server: SketchServer) -> None:
-        self._server = server
-        self._pending: Dict[str, list] = {}
-        self._timers: Dict[str, object] = {}
-
-    def enqueue(self, registered: RegisteredSketch, query: TwigQuery,
-                request: Dict[str, Any]) -> "asyncio.Future":
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        items = self._pending.setdefault(registered.name, [])
-        items.append((query, request, future))
-        if len(items) >= self._server.config.coalesce_max:
-            self._cancel_timer(registered.name)
-            self._flush(registered)
-        elif len(items) == 1:
-            window = self._server.config.coalesce_window_s
-            if window > 0:
-                handle = loop.call_later(window, self._flush, registered)
-            else:
-                handle = loop.call_soon(self._flush, registered)
-            self._timers[registered.name] = handle
-        return future
-
-    def _cancel_timer(self, name: str) -> None:
-        handle = self._timers.pop(name, None)
-        if handle is not None:
-            handle.cancel()
-
-    def _flush(self, registered: RegisteredSketch) -> None:
-        self._timers.pop(registered.name, None)
-        items = self._pending.pop(registered.name, None)
-        if not items:
-            return
-        loop = asyncio.get_running_loop()
-        server = self._server
-        try:
-            # _execute_batch releases the batch's admission slots itself
-            # (before settling the futures), so no done-callback here.
-            server._executor.submit(
-                server._execute_batch, registered,
-                [query for query, _, _ in items],
-                [request for _, request, _ in items],
-                [future for _, _, future in items], loop)
-        except Exception as exc:  # noqa: BLE001 - e.g. executor shut down
-            server._release_slots(len(items))
-            for _, _, future in items:
-                _settle_future(future, exc, None)
 
 
 # ---------------------------------------------------------------- threading

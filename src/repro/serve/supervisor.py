@@ -4,7 +4,7 @@ One asyncio daemon saturates one core; "heavy traffic from millions of
 users" needs a process fleet.  :class:`Supervisor` forks N serving
 workers -- each a full ``python -m repro serve`` subprocess, so a worker
 is exactly the hardened single-process daemon (admission, deadlines,
-degradation, coalescing, telemetry) -- and takes on everything fleet:
+degradation, telemetry) -- and takes on everything fleet:
 
 * **Sharding.**  ``shard_by="name"`` (the default) assigns each sketch
   to exactly one worker via the consistent-hash ring of
@@ -72,7 +72,7 @@ class SupervisorConfig:
     matters for ``shard_by="none"``: the shared ``SO_REUSEPORT`` data
     port (0 = reserve an ephemeral one).  ``worker_args`` is forwarded
     verbatim to every worker's ``treesketch serve`` argv -- deadline,
-    admission, cache and coalescing flags all pass through.
+    admission, cache and thread flags all pass through.
     """
 
     host: str = "127.0.0.1"

@@ -1,5 +1,7 @@
 """Tests for the canonical-query LRU cache (repro.core.qcache)."""
 
+import struct
+
 import pytest
 
 from repro import obs
@@ -13,18 +15,30 @@ from repro.workload.runner import run_selectivity
 from repro.xmltree.tree import XMLTree
 
 
+QUERIES = ["//a", "//a (//p)", "//a[//b] (//p ?)",
+           "//a (//p (//k ?), //n ?)", "//p"]
+
+
+def _tree() -> XMLTree:
+    return XMLTree.from_nested(
+        (
+            "r",
+            [
+                ("a", [("p", ["k", "k"]), "n"]),
+                ("a", [("p", ["k"]), "n", "n"]),
+                ("a", [("b", ["t"])]),
+            ],
+        )
+    )
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
 @pytest.fixture
 def sketch():
-    spec = (
-        "r",
-        [
-            ("a", [("p", ["k", "k"]), "n"]),
-            ("a", [("p", ["k"]), "n", "n"]),
-            ("a", [("b", ["t"])]),
-        ],
-    )
-    tree = XMLTree.from_nested(spec)
-    return build_treesketch(build_stable(tree), 100 * 1024)
+    return build_treesketch(build_stable(_tree()), 100 * 1024)
 
 
 def test_cached_results_match_uncached(sketch):
@@ -268,3 +282,38 @@ def test_runner_with_cache_matches_uncached(sketch):
     assert cached_first.per_query == plain.per_query
     assert cached_again.per_query == plain.per_query
     assert cache.hits >= len(workload)
+
+
+class TestQueryCacheBatch:
+    @pytest.fixture
+    def sketch(self):
+        # A lossy sketch, so the estimates are non-trivial floats -- exactly
+        # the values where a subtly different batch kernel would diverge.
+        return build_treesketch(build_stable(_tree()), 220)
+
+    def test_selectivity_batch_matches_scalar(self, sketch):
+        scalar_cache = QueryCache(sketch)
+        batch_cache = QueryCache(sketch)
+        queries = [parse_twig(q) for q in QUERIES]
+        scalar = [scalar_cache.selectivity(q) for q in queries]
+        batch = batch_cache.selectivity_batch(queries)
+        assert [_bits(v) for v in batch] == [_bits(v) for v in scalar]
+
+    def test_selectivity_batch_matches_scalar_without_numpy(
+            self, sketch, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        cache = QueryCache(sketch)
+        queries = [parse_twig(q) for q in QUERIES]
+        batch = cache.selectivity_batch(queries)
+        scalar = [estimate_selectivity(eval_query(sketch, parse_twig(q)))
+                  for q in QUERIES]
+        assert [_bits(v) for v in batch] == [_bits(v) for v in scalar]
+
+    def test_duplicates_share_one_entry_and_one_estimate(self, sketch):
+        cache = QueryCache(sketch)
+        queries = [parse_twig("//a"), parse_twig("//p"), parse_twig("//a")]
+        values = cache.selectivity_batch(queries)
+        assert _bits(values[0]) == _bits(values[2])
+        assert cache.misses == 2  # the duplicate hit the same LRU entry
+        # Mixing in the scalar path afterwards returns the same bits.
+        assert _bits(cache.selectivity(parse_twig("//a"))) == _bits(values[0])

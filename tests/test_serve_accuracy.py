@@ -256,24 +256,18 @@ class TestStaleSamples:
     def test_samples_carry_the_epoch_their_answer_was_read_under(self):
         """An update landing between an answer and its shadow offer must
         not tag the pre-mutation answer with the post-mutation epoch.
-        Each estimator here invalidates the cache right after computing,
+        The estimator here invalidates the cache right after computing,
         as if an update ran on the worker at exactly that moment."""
         registry = SketchRegistry()
         registry.register_live("live", SketchMaintainer(_tree(), LIVE_BUDGET))
         cache = registry.get("live").cache
-        batch, scalar = cache.selectivity_batch, cache.selectivity
-
-        def batch_then_invalidate(queries):
-            values = batch(queries)
-            cache.invalidate()
-            return values
+        scalar = cache.selectivity
 
         def scalar_then_invalidate(query):
             value = scalar(query)
             cache.invalidate()
             return value
 
-        cache.selectivity_batch = batch_then_invalidate
         cache.selectivity = scalar_then_invalidate
         handle = start_server_thread(registry, ServeConfig(
             port=0, shadow_fraction=1.0, shadow_reference=lambda q: 1.0))

@@ -66,6 +66,9 @@ class TestParseRequest:
             {"op": "eval", "query": "//a", "id": [1]},
             {"op": "eval", "query": "//a", "deadline_ms": -5},
             {"op": "eval", "query": "//a", "deadline_ms": True},
+            {"op": "eval", "query": "//a", "deadline_ms": float("nan")},
+            {"op": "eval", "query": "//a", "deadline_ms": float("inf")},
+            {"op": "eval", "query": "//a", "deadline_ms": 10**400},
             {"op": "eval", "query": "//a", "sketch": ""},
             {"op": "eval", "query": 7},
             {"op": "expand", "query": "//a", "max_nodes": 0},

@@ -182,6 +182,44 @@ class TestSingleServer:
         frozen = described["frozen"]
         assert frozen["live"] is False and "epoch" not in frozen
 
+    def test_deadline_abandons_the_reply_not_the_mutation(
+            self, client, monkeypatch):
+        """An update past its deadline is answered ``deadline_exceeded``
+        at once, keeps its admission slot until the worker finishes, and
+        still applies."""
+        original = LiveSketch.update
+        slept = threading.Event()
+
+        def slow_update(self, *args, **kwargs):
+            time.sleep(0.5)
+            slept.set()
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LiveSketch, "update", slow_update)
+        response = client.request(
+            "update", sketch="live", action="insert_subtree",
+            parent_label="r", subtree="n", deadline_ms=50)
+        assert response["ok"] is False
+        assert response["error"]["code"] == "deadline_exceeded"
+        assert "check the epoch" in response["error"]["message"]
+        deadline = time.monotonic() + 10.0
+        mid_sleep_reads = 0
+        while True:
+            depth = client.stats()["admission"]["depth"]
+            if slept.is_set():
+                break
+            assert depth == 1  # read mid-sleep: the slot is still held
+            assert time.monotonic() < deadline, "the update never ran"
+            mid_sleep_reads += 1
+            time.sleep(0.02)
+        assert mid_sleep_reads >= 1
+        deadline = time.monotonic() + 5.0
+        while client.stats()["admission"]["depth"] != 0:
+            assert time.monotonic() < deadline, "slot never released"
+            time.sleep(0.01)
+        described = {doc["name"]: doc for doc in client.list_sketches()}
+        assert described["live"]["epoch"] == 1
+
     def test_registry_level_invalidate_bumps_epochs(self, server):
         registry, _ = server
         epochs = registry.invalidate()
@@ -211,7 +249,8 @@ class TestCheckpointTimer:
                 time.sleep(0.05)
         finally:
             handle.stop()
-        doc = json.loads(open(sidecar).read())
+        with open(sidecar) as stream:
+            doc = json.load(stream)
         assert doc["selectivities"]
 
 
