@@ -114,17 +114,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     else:
         source = build_stable(_load_document(args.source))
 
-    if args.memo_cache and isinstance(source, StableSummary) \
-            and args.source.endswith((".json", ".json.gz", ".tsb")):
-        sketch = _build_with_memo_cache(args, source)
-    else:
-        if args.memo_cache:
-            print("--memo-cache needs a synopsis-file source (the memo is "
-                  "keyed by its checksum); building cold", file=sys.stderr)
-        sketch = build_treesketch(
-            source, int(args.budget_kb * 1024),
-            TSBuildOptions(kernel=args.kernel),
-        )
+    sketch = build_treesketch(
+        source, int(args.budget_kb * 1024),
+        TSBuildOptions(kernel=args.kernel),
+    )
     if value_summaries is not None:
         from repro.values import annotate_sketch_values
 
@@ -136,39 +129,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         f"squared error {sketch.squared_error():.1f}"
     )
     return 0
-
-
-def _build_with_memo_cache(args: argparse.Namespace,
-                           source: StableSummary) -> TreeSketch:
-    """TSBUILD with the merge-score memo persisted in the source's sidecar.
-
-    The memo rides in ``SOURCE.cache``, keyed by the stable summary's
-    checksum *and* the build-options signature, so a memo recorded
-    against different data or a different merge schedule is ignored,
-    never replayed (docs/STORAGE.md).  Memoization only skips rescoring
-    work -- seeded or not, the resulting sketch is bit-identical.
-    """
-    from repro.core.build import TreeSketchBuilder
-    from repro.core.store import (
-        file_checksum,
-        load_cache_sidecar,
-        save_cache_sidecar,
-    )
-
-    checksum = file_checksum(args.source)
-    builder = TreeSketchBuilder(source, TSBuildOptions(kernel=args.kernel))
-    signature = builder.memo_signature()
-    doc = load_cache_sidecar(args.source, checksum)
-    memo = (doc or {}).get("memo")
-    if isinstance(memo, dict) and memo.get("options") == signature:
-        seeded = builder.seed_memo(memo.get("entries") or [])
-        print(f"seeded merge memo: {seeded} entries")
-    sketch = builder.compress_to(int(args.budget_kb * 1024))
-    save_cache_sidecar(args.source, checksum, memo={
-        "options": signature,
-        "entries": builder.export_memo(),
-    })
-    return sketch
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
@@ -248,10 +208,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 print(f"  sidecar {sidecar}: STALE (ignored at load)")
             else:
                 selectivities = doc.get("selectivities") or {}
-                memo = doc.get("memo") or {}
                 print(f"  sidecar {sidecar}: fresh, "
-                      f"{len(selectivities)} selectivities, "
-                      f"{len(memo.get('entries') or [])} memo entries")
+                      f"{len(selectivities)} selectivities")
     except SynopsisFormatError as exc:
         print(f"corrupt store: {exc}", file=sys.stderr)
         return 2
@@ -424,7 +382,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         from repro.core.qcache import QueryCache
 
         cache = QueryCache(sketch, maxsize=args.eval_cache)
-    quality = run_selectivity(sketch, workload, cache=cache, batch=args.batch)
+    quality = run_selectivity(sketch, workload, cache=cache)
     print(
         f"workload: {len(workload)} queries over {args.document} "
         f"(seed {args.seed}), sketch {sketch.size_bytes() / 1024:.1f} KB"
@@ -1003,17 +961,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     sketch = _load_sketch(args.sketch)
     queries = [parse_twig(text) for text in twigs]
     cache = QueryCache(sketch, maxsize=args.cache_size)
-    if args.batch:
-        from repro.core.estimate import estimate_selectivity_batch
-
-        for _ in range(args.repeat):
-            results = [cache.result(query) for query in queries]
-            for text, est in zip(twigs, estimate_selectivity_batch(results)):
-                print(f"{est:>16,.1f}  {text}")
-    else:
-        for _ in range(args.repeat):
-            for text, query in zip(twigs, queries):
-                print(f"{cache.selectivity(query):>16,.1f}  {text}")
+    for _ in range(args.repeat):
+        for text, query in zip(twigs, queries):
+            print(f"{cache.selectivity(query):>16,.1f}  {text}")
     info = cache.info()
     print(
         f"eval cache: {info['hits']} hits, {info['misses']} misses, "
@@ -1081,9 +1031,6 @@ def make_parser() -> argparse.ArgumentParser:
                    default="auto",
                    help="output format (auto: by extension; see "
                         "docs/STORAGE.md)")
-    p.add_argument("--memo-cache", action="store_true",
-                   help="persist/reuse the TSBUILD merge-score memo in the "
-                        "source's .cache sidecar (synopsis sources only)")
     p.add_argument("--kernel",
                    choices=("auto", "dicts", "arrays"),
                    default="auto",
@@ -1177,9 +1124,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--request-prefix", metavar="PREFIX",
                    help="in --server mode, tag the n-th request with "
                         "request_id PREFIX-n for trace correlation")
-    p.add_argument("--batch", action="store_true",
-                   help="estimate all selectivities in one vectorized pass "
-                        "(numpy when available; ignored in --server mode)")
     p.add_argument("--kernel",
                    choices=("auto", "dicts", "arrays"),
                    default="auto",
@@ -1357,9 +1301,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="canonical-query LRU capacity (default 256)")
     p.add_argument("--repeat", type=int, default=1,
                    help="evaluate the query list this many times (cache demo)")
-    p.add_argument("--batch", action="store_true",
-                   help="estimate the whole query list per pass via "
-                        "estimate_selectivity_batch (numpy when available)")
     p.add_argument("--profile", metavar="FILE",
                    help="dump a cProfile pstats file for the run")
     p.set_defaults(func=cmd_estimate)

@@ -28,7 +28,7 @@ import gc
 import heapq
 import logging
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.core.kernel import KernelPartition
 from repro.core.partition import MergePartition
@@ -151,57 +151,6 @@ class TreeSketchBuilder:
 
     def squared_error(self) -> float:
         return self.partition.total_sq
-
-    # ------------------------------------------------------------------
-    # Merge-memo persistence (cache sidecars; docs/STORAGE.md)
-    # ------------------------------------------------------------------
-
-    def memo_signature(self) -> str:
-        """Fingerprint of every option that shapes the merge sequence.
-
-        A persisted memo entry is only sound if the build that reads it
-        walks the same merge sequence that produced its version stamps,
-        so sidecars key memo payloads on this signature.  ``kernel`` is
-        deliberately excluded: the equivalence tests pin both backends
-        bit-identical.
-        """
-        opts = self.options
-        return ("v1:heap_upper={0},heap_lower={1},pair_window={2},"
-                "drain_fraction={3!r},stop_when_full={4}").format(
-            opts.heap_upper, opts.heap_lower, opts.pair_window,
-            opts.drain_fraction, opts.stop_when_full)
-
-    def export_memo(self) -> List[list]:
-        """The merge-score memo as JSON-ready rows.
-
-        Each row is ``[u, v, ver_u, ver_v, ratio, errd, sized]``; floats
-        survive the JSON round trip exactly, so a seeded build scores --
-        and therefore merges -- bit-identically to the build that
-        exported the memo.
-        """
-        memo = self.partition.merge_memo
-        if not memo:
-            return []
-        return [[u, v, e[0], e[1], e[2], e[3], e[4]]
-                for (u, v), e in memo.items()]
-
-    def seed_memo(self, rows: Iterable[Sequence]) -> int:
-        """Warm the merge-score memo from :meth:`export_memo` rows.
-
-        Entries whose version stamps never match the seeded build's
-        state are simply overwritten on first rescore -- the same
-        invalidation discipline live memoization uses -- so a wrong or
-        partial memo can cost time, never correctness.  Callers must
-        gate rows on :meth:`memo_signature`.  Returns the number of
-        entries loaded.
-        """
-        self.partition.enable_memo()
-        memo = self.partition.merge_memo
-        loaded = 0
-        for u, v, ver_u, ver_v, ratio, errd, sized in rows:
-            memo[(u, v)] = (ver_u, ver_v, ratio, errd, sized)
-            loaded += 1
-        return loaded
 
     def _resolve(self, cid: int) -> int:
         """Follow forwarding pointers to the surviving cluster id."""

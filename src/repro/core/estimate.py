@@ -8,25 +8,13 @@ mirrors the exact binding-tuple DP of :mod:`repro.engine.nesting`: factors
 multiply across a variable's child variables, each factor summing
 ``count(u_Q, v_Q) * t(v_Q)`` over the child bindings, with dashed
 (optional) edges clamped at one (the "null" binding).
-
-:func:`estimate_selectivity_batch` runs the same recurrence over many
-result sketches at once: every sketch's DP is flattened into shared
-index arrays and processed level by level (deepest query variables
-first) with numpy scatter ops.  ``np.add.at`` / ``np.multiply.at`` are
-unbuffered and apply strictly in array order, and the arrays are emitted
-in the scalar estimator's iteration order (edge insertion order within a
-child-variable group, query-children order across groups), so the batch
-path reproduces the sequential floating-point results.  Without numpy
-(or with ``REPRO_NO_NUMPY`` set) it falls back to the scalar estimator
-per query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.evaluate import ResultSketch, RSKey
-from repro.core.npsupport import get_numpy
 from repro.obs import get_metrics, get_tracer
 from repro.query.twig import QueryNode
 
@@ -45,102 +33,12 @@ def estimate_selectivity(result: ResultSketch) -> float:
 
 
 def estimate_selectivity_batch(results: Sequence[ResultSketch]) -> List[float]:
-    """Estimated binding tuples for many result sketches in one pass.
+    """``[estimate_selectivity(r) for r in results]``.
 
-    Equivalent to ``[estimate_selectivity(r) for r in results]`` but
-    amortizes the per-query DP into a handful of vectorized scatter ops
-    when numpy is available; the pure-python fallback simply loops the
-    scalar estimator.  The vectorized path preserves the scalar path's
-    accumulation orders (see the module docstring), so both agree on
-    every query.
+    Kept as the name :meth:`repro.core.qcache.QueryCache.selectivity_batch`
+    calls, which perfbench/layers.py times by that name.
     """
-    results = list(results)
-    get_metrics().counter("estimate.batch.calls").inc()
-    np = get_numpy()
-    if np is None:
-        return [estimate_selectivity(r) for r in results]
-    get_metrics().counter("estimate.calls").inc(len(results))
-    with get_tracer().span(
-        "estimate.selectivity_batch", queries=len(results)
-    ):
-        return _batch_numpy(results, np)
-
-
-def _batch_numpy(results: Sequence[ResultSketch], np) -> List[float]:
-    # Flatten every sketch's DP into shared arrays.  Nodes are levelled
-    # by their query variable's depth; result-sketch edges always go from
-    # a variable to one of its query children, so processing levels
-    # deepest-first makes every child total final before its parents read
-    # it.  One group per (node, query child) -- including childless
-    # groups, whose subtotal is 0 (or the optional clamp's 1), exactly
-    # the scalar estimator's empty-group / no-edges behavior.
-    node_depth: List[int] = []
-    g_parent: List[int] = []
-    g_optional: List[bool] = []
-    g_depth: List[int] = []
-    e_group: List[int] = []
-    e_child: List[int] = []
-    e_avg: List[float] = []
-    roots: List[Optional[int]] = []
-    for result in results:
-        if result.empty:
-            roots.append(None)
-            continue
-        qnode_of: Dict[str, QueryNode] = {n.var: n for n in result.query.nodes}
-        depth_of_var: Dict[str, int] = {}
-        for n in result.query.nodes:  # pre-order: parents first
-            depth_of_var[n.var] = (
-                0 if n.parent is None else depth_of_var[n.parent.var] + 1
-            )
-        base = len(node_depth)
-        node_index: Dict[RSKey, int] = {}
-        for key in result.label:
-            node_index[key] = base + len(node_index)
-            node_depth.append(depth_of_var[key[1]])
-        roots.append(node_index[result.root_key])
-        for key, nid in node_index.items():
-            qnode = qnode_of[key[1]]
-            if not qnode.children:
-                continue
-            edges = result.out.get(key, {})
-            d = node_depth[nid]
-            for qc in qnode.children:
-                gid = len(g_parent)
-                g_parent.append(nid)
-                g_optional.append(qc.optional)
-                g_depth.append(d)
-                for v_key, avg in edges.items():
-                    if v_key[1] == qc.var:
-                        e_group.append(gid)
-                        e_child.append(node_index[v_key])
-                        e_avg.append(avg)
-
-    t = np.ones(len(node_depth))
-    if g_parent:
-        g_parent_a = np.asarray(g_parent, dtype=np.intp)
-        g_opt_a = np.asarray(g_optional, dtype=bool)
-        g_depth_a = np.asarray(g_depth, dtype=np.intp)
-        e_group_a = np.asarray(e_group, dtype=np.intp)
-        e_child_a = np.asarray(e_child, dtype=np.intp)
-        e_avg_a = np.asarray(e_avg, dtype=np.float64)
-        e_depth_a = g_depth_a[e_group_a] if len(e_group_a) else e_group_a
-        sub = np.zeros(len(g_parent))
-        for d in range(int(g_depth_a.max()), -1, -1):
-            gmask = g_depth_a == d
-            if not gmask.any():
-                continue
-            sub[gmask] = 0.0
-            emask = e_depth_a == d
-            if len(e_group_a) and emask.any():
-                np.add.at(
-                    sub,
-                    e_group_a[emask],
-                    e_avg_a[emask] * t[e_child_a[emask]],
-                )
-            clamp = gmask & g_opt_a
-            sub[clamp] = np.maximum(1.0, sub[clamp])
-            np.multiply.at(t, g_parent_a[gmask], sub[gmask])
-    return [0.0 if r is None else float(t[r]) for r in roots]
+    return [estimate_selectivity(r) for r in results]
 
 
 def estimate_bindings(result: ResultSketch) -> Dict[str, float]:

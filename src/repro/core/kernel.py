@@ -12,8 +12,7 @@ buffers with no per-edge dict or tuple allocation:
   and per-cluster table below is a flat length-``N`` buffer);
 * ``gs`` (the grouped stable out-adjacency) is a CSR layout --
   ``array('l')`` index + ``array('d')`` data with per-row live lengths
-  (rows only ever shrink as targets collapse); :meth:`csr_arrays` exposes
-  numpy views of the buffers when numpy is available;
+  (rows only ever shrink as targets collapse);
 * ``out_stats`` is a pair of parallel sum / sum-of-squares arrays keyed by
   an open-addressed ``(cluster, target) -> slot`` table (a CPython dict on
   packed ``target * N + cluster`` integer keys -- CPython's dict *is* an
@@ -66,7 +65,6 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.npsupport import get_numpy
 from repro.core.partition import MergeResult, ScoredMerge
 from repro.core.size import EDGE_BYTES, NODE_BYTES
 from repro.core.stable import StableSummary
@@ -707,27 +705,6 @@ class KernelPartition:
             for i in range(base, base + self._gs_len[s])
         }
 
-    def csr_arrays(self):
-        """Numpy views over the gs CSR buffers (``None`` without numpy).
-
-        Returns ``(indptr, lengths, col, val)``; the views share memory
-        with the live buffers (zero copy).
-        """
-        np = get_numpy()
-        if np is None:
-            return None
-        int_t = np.dtype("l")  # matches array('l') itemsize per platform
-        return (
-            np.frombuffer(self._gs_indptr, dtype=int_t),
-            np.frombuffer(self._gs_len, dtype=int_t),
-            np.frombuffer(self._gs_col, dtype=int_t)
-            if len(self._gs_col)
-            else np.empty(0, dtype=int_t),
-            np.frombuffer(self._gs_val, dtype=np.float64)
-            if len(self._gs_val)
-            else np.empty(0, dtype=np.float64),
-        )
-
     def check_invariants(self) -> None:
         """Expensive consistency audit used by the test suite."""
         n = self._n
@@ -785,11 +762,7 @@ class KernelPartition:
         # Version stamps cover exactly the live clusters.
         assert set(self.version) == set(self.members)
         assert set(self.struct_version) == set(self.members)
-        # Numpy bulk audit of the CSR buffers (bounds / positivity).
-        views = self.csr_arrays()
-        if views is not None:
-            _, lengths, col, val = views
-            assert (lengths >= 0).all()
-            if len(col):
-                assert (col >= 0).all() and (col < n).all()
-                assert (val > 0).all()
+        # Bulk audit of the CSR buffers (bounds / positivity).
+        assert all(length >= 0 for length in self._gs_len)
+        assert all(0 <= col < n for col in self._gs_col)
+        assert all(val > 0 for val in self._gs_val)

@@ -134,16 +134,15 @@ class QueryCache:
             return entry[1]
 
     def selectivity_batch(self, queries: "Sequence[TwigQuery]") -> "List[float]":
-        """Selectivities for many queries in one pass, batch-estimated.
+        """Selectivities for many queries under one hold of the lock.
 
-        The single-flight lock is held across the whole batch, result
-        sketches come from the same LRU entries the scalar path uses, and
-        the uncached selectivities are filled by
-        :func:`repro.core.estimate.estimate_selectivity_batch` -- which is
-        bitwise-equal to the scalar estimator, so mixing scalar and batch
-        calls over one cache can never yield two answers for one query.
-        Duplicate queries in ``queries`` share one cache entry and are
-        estimated once.
+        Result sketches come from the same LRU entries the scalar path
+        uses, and the uncached selectivities are filled by
+        :func:`repro.core.estimate.estimate_selectivity_batch` -- the
+        scalar estimator per entry, so mixing scalar and batch calls over
+        one cache can never yield two answers for one query.  Duplicate
+        queries in ``queries`` share one cache entry and are estimated
+        once.
         """
         with self._lock:
             seeded: Dict[int, float] = {}

@@ -13,7 +13,7 @@ written ``array.tobytes()``-style.  Loading is ``mmap`` + zero-copy
 estimators traverse) is materialized lazily on first access, in exactly
 the insertion orders the JSON loader produces, so a ``.tsb``-loaded
 synopsis answers **bitwise-identically** to a JSON-loaded one
-(tests/test_store_roundtrip.py holds it to that, with and without numpy).
+(tests/test_store_roundtrip.py holds it to that).
 
 Because the bytes are mmap'ed read-only, N worker processes serving the
 same synopsis file share one physical copy of the buffers through the
@@ -23,11 +23,10 @@ gets queries for the sketch*, and pays file-load cost essentially never.
 
 Alongside every ``.tsb`` there may be a ``.tsb.cache`` **sidecar**: plain
 JSON carrying warm-restart state -- the per-sketch ``QueryCache``
-selectivity entries the serving daemon persists on graceful shutdown,
-and/or the TSBUILD merge-score memo for resumable builds.  The sidecar
-is keyed by the synopsis checksum (plus a build-options signature for
-the memo), so a stale sidecar is *ignored*, never served: a mismatched
-key means the synopsis changed and every cached answer is suspect.
+selectivity entries the serving daemon persists on graceful shutdown.
+The sidecar is keyed by the synopsis checksum, so a stale sidecar is
+*ignored*, never served: a mismatched key means the synopsis changed and
+every cached answer is suspect.
 
 File layout (all integers little-endian; docs/STORAGE.md for the spec)::
 
@@ -634,32 +633,20 @@ def sidecar_path(path: str) -> str:
 
 
 def save_cache_sidecar(path: str, checksum: int,
-                       selectivities: Optional[Dict[str, float]] = None,
-                       memo: Optional[Dict[str, Any]] = None) -> str:
-    """Write (or update) the cache sidecar of synopsis file ``path``.
+                       selectivities: Dict[str, float]) -> str:
+    """Write the cache sidecar of synopsis file ``path``.
 
     ``selectivities`` maps canonical query text to the estimated
     selectivity (what :meth:`repro.core.qcache.QueryCache.
-    export_selectivities` returns); ``memo`` carries a TSBUILD merge-
-    score memo (``{"options": signature, "entries": [...]}``).  A payload
-    that is not being replaced is preserved from the existing sidecar iff
-    that sidecar's checksum still matches; floats survive exactly (JSON
+    export_selectivities` returns); floats survive exactly (JSON
     round-trips Python floats bit-for-bit).  Returns the sidecar path.
     """
     target = sidecar_path(path)
-    existing = load_cache_sidecar(path, checksum, _count_stale=False)
     doc: Dict[str, Any] = {
         "format": _SIDECAR_VERSION,
         "checksum": int(checksum),
+        "selectivities": dict(selectivities),
     }
-    if existing:
-        for key in ("selectivities", "memo"):
-            if existing.get(key) is not None:
-                doc[key] = existing[key]
-    if selectivities is not None:
-        doc["selectivities"] = dict(selectivities)
-    if memo is not None:
-        doc["memo"] = memo
     tmp = f"{target}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, separators=(",", ":"))

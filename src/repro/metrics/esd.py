@@ -98,9 +98,9 @@ class ESDCalculator:
         exact_matching: bool = False,
     ) -> None:
         """``exact_matching=True`` solves each per-tag multiset matching
-        optimally (Hungarian, small sets only) instead of greedily --
-        slower, and rarely different on real child multisets; exposed for
-        validation runs."""
+        optimally (Hungarian via scipy, small sets only) instead of
+        greedily -- slower, and rarely different on real child multisets;
+        exposed for validation runs."""
         if set_distance not in ("mac", "emd"):
             raise ValueError(f"unknown set distance {set_distance!r}")
         self._set_distance = set_distance

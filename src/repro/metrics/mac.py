@@ -65,12 +65,13 @@ def mac_distance(
     unmatched copies of a value.  Symmetric by construction.
 
     With ``exact=True`` (and total expanded size <= ``exact_limit`` per
-    side, and scipy available) the cross-value matching is solved
-    optimally with the Hungarian algorithm instead of greedily; unmatched
-    units are charged through the same frequency penalty.  The greedy
-    matching is the default: it is deterministic, dependency-free, and --
-    as `tests/test_metrics_mac.py::TestExactMode` checks -- rarely differs
-    on the child multisets ESD actually compares.
+    side) the cross-value matching is solved optimally with the Hungarian
+    algorithm instead of greedily; unmatched units are charged through
+    the same frequency penalty.  That path needs scipy and raises
+    ``ImportError`` without it.  The greedy matching is the default: it
+    is deterministic, dependency-free, and -- as
+    `tests/test_metrics_mac.py::TestExactMode` checks -- rarely differs on
+    the child multisets ESD actually compares.
     """
     remaining_l: Dict[Value, float] = {}
     for value, mult in left:
@@ -89,11 +90,7 @@ def mac_distance(
     total = 0.0
     if remaining_l and remaining_r:
         if exact and _expandable(remaining_l, remaining_r, exact_limit):
-            matched = _hungarian_match(remaining_l, remaining_r, dist_fn)
-            if matched is not None:
-                total += matched
-            else:
-                total += _greedy_match(remaining_l, remaining_r, dist_fn, tiebreak_fn)
+            total += _hungarian_match(remaining_l, remaining_r, dist_fn)
         else:
             total += _greedy_match(remaining_l, remaining_r, dist_fn, tiebreak_fn)
 
@@ -146,16 +143,13 @@ def _expandable(remaining_l, remaining_r, limit: int) -> bool:
 
 
 def _hungarian_match(remaining_l, remaining_r, dist_fn):
-    """Optimal unit matching via scipy; None if scipy is unavailable.
+    """Optimal unit matching via scipy (``ImportError`` without it).
 
     Expands multiplicities into units and pads the rectangular cost matrix
     with zero-cost rows/columns (padded units stay in the pools and fall
     through to the residual penalty, as in the greedy path).
     """
-    try:
-        from scipy.optimize import linear_sum_assignment
-    except ImportError:  # pragma: no cover - scipy is a dev dependency
-        return None
+    from scipy.optimize import linear_sum_assignment
 
     units_l = [v for v, m in remaining_l.items() for _ in range(int(round(m)))]
     units_r = [v for v, m in remaining_r.items() for _ in range(int(round(m)))]

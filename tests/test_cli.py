@@ -69,7 +69,7 @@ class TestCLI:
 
 
 class TestStoreCommands:
-    """``build --format tsb``, ``convert``, ``inspect``, ``--memo-cache``."""
+    """``build --format tsb``, ``convert``, ``inspect``."""
 
     def test_build_tsb_output(self, xml_file, tmp_path, capsys):
         tsb_path = str(tmp_path / "sketch.tsb")
@@ -135,23 +135,6 @@ class TestStoreCommands:
         assert main(["inspect", str(tsb_path)]) == 2
         assert "corrupt store" in capsys.readouterr().err
 
-    def test_build_memo_cache_round_trip(self, xml_file, tmp_path, capsys):
-        import os
-
-        stable_path = str(tmp_path / "stable.json")
-        main(["stable", xml_file, "-o", stable_path])
-        cold = str(tmp_path / "cold.json")
-        warm = str(tmp_path / "warm.json")
-        assert main(["build", stable_path, "--budget-kb", "0.125",
-                     "-o", cold, "--memo-cache"]) == 0
-        assert os.path.exists(stable_path + ".cache")
-        capsys.readouterr()
-        assert main(["build", stable_path, "--budget-kb", "0.125",
-                     "-o", warm, "--memo-cache"]) == 0
-        assert "seeded merge memo" in capsys.readouterr().out
-        with open(cold) as a, open(warm) as b:
-            assert a.read() == b.read()  # memo reuse is output-invisible
-
 
 class TestServeCommand:
     def test_serve_missing_sketch_file(self, tmp_path, capsys):
@@ -166,22 +149,6 @@ class TestServeCommand:
         assert main(["serve", sketch_path, f"sketch={sketch_path}",
                      "--port", "0"]) == 2
         assert "already registered" in capsys.readouterr().err
-
-    def test_estimate_batch_matches_sequential(self, xml_file, tmp_path, capsys):
-        sketch_path = str(tmp_path / "sketch.json")
-        main(["build", xml_file, "--budget-kb", "64", "-o", sketch_path])
-        capsys.readouterr()
-        twigs = ["//a (//p)", "//a (//b)"]
-        assert main(["estimate", sketch_path, *twigs]) == 0
-        sequential = capsys.readouterr().out.splitlines()[:2]
-        assert main(["estimate", sketch_path, *twigs, "--batch"]) == 0
-        batch = capsys.readouterr().out.splitlines()[:2]
-        assert batch == sequential
-
-    def test_workload_batch_flag(self, xml_file, capsys):
-        assert main(["workload", xml_file, "--queries", "5",
-                     "--budget-kb", "64", "--batch"]) == 0
-        assert "avg selectivity error" in capsys.readouterr().out
 
     def test_gzip_sketch_through_cli(self, xml_file, tmp_path, capsys):
         """build and query accept .json.gz paths transparently."""

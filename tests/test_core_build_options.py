@@ -84,16 +84,11 @@ class TestKernelAutoSelection:
         assert flat["counters.tsbuild.kernel_dicts"] == 1
         assert "counters.tsbuild.kernel_arrays" not in flat
 
-    def test_sparse_shape_selects_kernel(self, stable, monkeypatch):
+    def test_sparse_shape_selects_kernel(self, stable):
         from repro.core.build import AUTO_DICTS_DENSITY
 
         density = stable.num_edges / max(1, len(stable.count))
         assert density < AUTO_DICTS_DENSITY
-        # The choice does not depend on numpy being importable.
-        flat = self._flat_counters(stable)
-        assert flat["counters.tsbuild.kernel_arrays"] == 1
-        assert "counters.tsbuild.kernel_dicts" not in flat
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         flat = self._flat_counters(stable)
         assert flat["counters.tsbuild.kernel_arrays"] == 1
         assert "counters.tsbuild.kernel_dicts" not in flat

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from repro.experiments.analysis import (
+pytest.importorskip("numpy")
+
+from repro.experiments.analysis import (  # noqa: E402
     geometric_mean_ratio,
     loglog_slope,
     pearson,

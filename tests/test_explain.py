@@ -3,9 +3,9 @@
 The load-bearing invariant: with explain enabled, the per-cluster
 contribution terms sum (left-associated, in the order returned) to the
 plain estimator's answer *bitwise* — these tests assert ``==`` on the
-floats, never approximate closeness — with and without numpy.  With
-explain disabled, the plain estimate path does zero extra work, pinned
-by the module's activity probes.
+floats, never approximate closeness.  With explain disabled, the plain
+estimate path does zero extra work, pinned by the module's activity
+probes.
 """
 
 import random
@@ -22,7 +22,6 @@ from repro.core.explain import (
     explain_query,
     reset_probes,
 )
-from repro.core.npsupport import have_numpy
 from repro.core.stable import build_stable
 from repro.query.parser import parse_twig
 from repro.workload.workload import make_workload
@@ -58,16 +57,6 @@ def test_contributions_sum_bitwise(seed):
         assert expl.exact_split or result.empty or not expl.contributions
         assert _fold(expl.contributions) == plain
         assert expl.estimate == batched
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-def test_contributions_sum_bitwise_without_numpy(seed, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert not have_numpy()
-    _sketch, _wl, results = _workload_results(seed)
-    for result in results:
-        expl = explain_estimate(result)
-        assert _fold(expl.contributions) == estimate_selectivity(result)
 
 
 def test_disabled_path_does_no_explain_work():

@@ -93,6 +93,31 @@ def test_kernel_invariants_hold_under_adversarial_merges(seed):
         kern.check_invariants()
 
 
+@pytest.mark.parametrize("damage", ["row_length", "column", "weight"])
+def test_invariants_reject_bad_csr_entries_anywhere(damage):
+    """The bounds/positivity audit covers the whole CSR buffers: the
+    length of an empty row and the dead tail of a shrunk row, which no
+    per-row comparison reads."""
+    stable = build_stable(make_random_tree(random.Random(5), 80))
+    kern = KernelPartition(stable)
+    indptr = kern._gs_indptr
+    # Merging two targets of one row shrinks it, leaving a dead slot.
+    s = next(s for s in range(kern._n) if indptr[s + 1] - indptr[s] >= 2)
+    kern.apply_merge(kern._gs_col[indptr[s]], kern._gs_col[indptr[s] + 1])
+    kern.check_invariants()
+    dead = indptr[s + 1] - 1
+    assert kern._gs_len[s] == indptr[s + 1] - indptr[s] - 1
+    if damage == "row_length":
+        leaf = next(s for s in range(kern._n) if indptr[s + 1] == indptr[s])
+        kern._gs_len[leaf] = -1
+    elif damage == "column":
+        kern._gs_col[dead] = kern._n
+    else:
+        kern._gs_val[dead] = 0.0
+    with pytest.raises(AssertionError):
+        kern.check_invariants()
+
+
 def test_scored_merge_memo_matches_dict_path():
     rng = random.Random(4)
     stable = build_stable(make_random_tree(rng, 150))

@@ -1,5 +1,7 @@
 """Unit tests for the MAC-style set distance."""
 
+import sys
+
 import pytest
 
 from repro.metrics.mac import FrequencyPenalty, mac_distance
@@ -99,12 +101,14 @@ class TestMixedScenarios:
 
 class TestExactMode:
     def test_exact_equals_greedy_on_simple_sets(self):
+        pytest.importorskip("scipy.optimize")
         u, v = [(1, 2), (5, 1)], [(2, 1), (5, 2)]
         greedy = mac_distance(u, v, flat, unit)
         exact = mac_distance(u, v, flat, unit, exact=True)
         assert exact <= greedy + 1e-9
 
     def test_exact_beats_greedy_on_adversarial_case(self):
+        pytest.importorskip("scipy.optimize")
         # Classic greedy failure: L={0,3}, R={2,5}.  Greedy takes the
         # cheapest pair (3,2)=1 first and is forced into (0,5)=5, total 6;
         # the optimal matching (0,2)+(3,5) costs 4.
@@ -114,9 +118,19 @@ class TestExactMode:
         assert exact == 4.0
         assert greedy == 6.0
 
+    def test_exact_without_scipy_raises(self, monkeypatch):
+        # Never a silent greedy answer (6.0 on this input) under the
+        # exact flag: a missing scipy must be loud.
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        u, v = [(0, 1), (3, 1)], [(2, 1), (5, 1)]
+        with pytest.raises(ImportError):
+            mac_distance(u, v, flat, unit, exact=True)
+
     def test_exact_falls_back_when_too_large(self):
-        u = [(i, 3) for i in range(20)]  # 60 units > exact_limit
-        v = [(i + 1, 3) for i in range(20)]
+        # Disjoint values, so the same-value pass matches nothing and all
+        # 60 units per side reach the matcher: > exact_limit, greedy.
+        u = [(2 * i, 3) for i in range(20)]
+        v = [(2 * i + 1, 3) for i in range(20)]
         assert mac_distance(u, v, flat, unit, exact=True) == mac_distance(
             u, v, flat, unit
         )

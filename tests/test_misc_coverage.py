@@ -1,4 +1,5 @@
-"""Assorted coverage: mutation + reindex, extents, ESD sub-tree API."""
+"""Assorted coverage: mutation + reindex, extents, ESD sub-tree API,
+the numpy-free import."""
 
 import pytest
 
@@ -73,3 +74,27 @@ class TestESDSubtreeAPI:
         d1 = calc.distance(t1, t2)
         d2 = calc.distance(t1, t2)
         assert d1 == d2
+
+
+class TestNumpyFreeCore:
+    def test_library_cli_and_daemon_import_no_numpy(self):
+        """numpy is the optional ``analysis`` extra, used by
+        ``repro.experiments.analysis`` alone; nothing else may pull it in."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = ("import sys, repro, repro.cli, repro.serve.server; "
+                "print('numpy' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -299,16 +299,6 @@ class TestQueryCacheBatch:
         batch = batch_cache.selectivity_batch(queries)
         assert [_bits(v) for v in batch] == [_bits(v) for v in scalar]
 
-    def test_selectivity_batch_matches_scalar_without_numpy(
-            self, sketch, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        cache = QueryCache(sketch)
-        queries = [parse_twig(q) for q in QUERIES]
-        batch = cache.selectivity_batch(queries)
-        scalar = [estimate_selectivity(eval_query(sketch, parse_twig(q)))
-                  for q in QUERIES]
-        assert [_bits(v) for v in batch] == [_bits(v) for v in scalar]
-
     def test_duplicates_share_one_entry_and_one_estimate(self, sketch):
         cache = QueryCache(sketch)
         queries = [parse_twig("//a"), parse_twig("//p"), parse_twig("//a")]

@@ -137,25 +137,6 @@ class TestCacheSidecar:
         assert load_cache_sidecar(
             str(tsb_path), file_checksum(str(tsb_path))) is None
 
-    def test_update_preserves_other_payload(self, tsb_path):
-        checksum = file_checksum(str(tsb_path))
-        save_cache_sidecar(str(tsb_path), checksum,
-                           memo={"options": "v1:x", "entries": [[1, 2, 0, 0, 0.5, 1.0, 2]]})
-        save_cache_sidecar(str(tsb_path), checksum,
-                           selectivities={"//a": 3.0})
-        doc = load_cache_sidecar(str(tsb_path), checksum)
-        assert doc["memo"]["options"] == "v1:x"
-        assert doc["selectivities"] == {"//a": 3.0}
-
-    def test_update_drops_payload_of_stale_sidecar(self, tsb_path):
-        checksum = file_checksum(str(tsb_path))
-        save_cache_sidecar(str(tsb_path), checksum - 7,
-                           memo={"options": "v1:x", "entries": []})
-        save_cache_sidecar(str(tsb_path), checksum,
-                           selectivities={"//a": 3.0})
-        doc = load_cache_sidecar(str(tsb_path), checksum)
-        assert "memo" not in doc
-
     def test_stale_sidecar_counts_metric(self, tsb_path):
         from repro import obs
 
@@ -190,13 +171,23 @@ class TestRegistryWarmRestart:
         query = parse_twig("//a (//p)")
         want = entry.cache.selectivity(query)
         assert registry.save_caches() == 1
-        assert sidecar_path(str(path))
+        sidecar = sidecar_path(str(path))
+        with open(sidecar) as handle:
+            written = json.load(handle)
+        # Sidecars from `treesketch build --memo-cache`, since removed,
+        # also carry a merge-score `memo` payload; it must not cost the
+        # selectivities their warm start.
+        with_memo = dict(written, memo={
+            "options": "v1:x", "entries": [[1, 2, 0, 0, 0.5, 1.0, 2]]})
 
-        fresh = SketchRegistry()
-        warmed = fresh.load(str(path), name="xm")
-        assert warmed.cache.peek_selectivity(query) == want
-        # First request was a hit -- the warm-restart pin.
-        assert warmed.cache.hits == 1 and warmed.cache.misses == 0
+        for doc in (written, with_memo):
+            with open(sidecar, "w") as handle:
+                json.dump(doc, handle)
+            fresh = SketchRegistry()
+            warmed = fresh.load(str(path), name="xm")
+            assert warmed.cache.peek_selectivity(query) == want
+            # First request was a hit -- the warm-restart pin.
+            assert warmed.cache.hits == 1 and warmed.cache.misses == 0
 
     def test_stale_sidecar_not_served(self, tmp_path, paper_document):
         from repro.query.parser import parse_twig

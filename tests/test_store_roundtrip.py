@@ -122,13 +122,7 @@ class TestAnswersBitwiseIdentical:
         assert estimate_selectivity(eval_query(a, query)) \
             == estimate_selectivity(eval_query(b, query))
 
-    @pytest.mark.parametrize("no_numpy", [False, True])
-    def test_estimates_with_and_without_numpy(self, tmp_path, monkeypatch,
-                                              no_numpy):
-        if no_numpy:
-            monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        else:
-            monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+    def test_estimates_on_random_sketch(self, tmp_path):
         sketch = _random_sketch(seed=11)
         json_path, tsb_path = _save_both(sketch, tmp_path)
         a, b = load_synopsis(json_path), load_synopsis(tsb_path)
