@@ -1033,6 +1033,7 @@ class SketchMaintainer:
             (total, part.total_sq)
         doc_nodes = len(list(self.stable.tree.root.iter_preorder()))
         assert sum(part.count.values()) == doc_nodes
+        self.stable.check_index()
 
     def _refresh_gauges(self) -> None:
         self._g_debt.set(self.total_debt())
@@ -1040,22 +1041,25 @@ class SketchMaintainer:
         self._g_size.set(self.partition.size_bytes())
 
 
-def find_labeled(root: XMLNode, label: str, ordinal: int = 0) -> Optional[XMLNode]:
+def find_labeled(
+    maintainer: Union[SketchMaintainer, StableMaintainer],
+    label: str,
+    ordinal: int = 0,
+) -> Optional[XMLNode]:
     """The ``ordinal``-th node labeled ``label`` in document pre-order.
 
     This is the wire protocol's node addressing scheme (``label`` +
-    ``ordinal`` in an ``update`` request): it stays meaningful across
-    mutations without relying on the XMLTree oid index, which the
-    maintainer's in-place edits deliberately do not refresh.  Returns
-    ``None`` when fewer than ``ordinal + 1`` such nodes exist.
+    ``ordinal`` in an ``update`` request).  It is an index lookup: the
+    :class:`~repro.core.maintain.StableMaintainer` owning the document
+    keeps each label's nodes in document order through its own edits
+    (:meth:`~repro.core.maintain.StableMaintainer.node_at`).  It does not
+    use ``XMLTree``'s oid, pre/post or label indexes, which the
+    maintainer's in-place edits still leave stale.  Returns ``None`` when
+    no such node exists (``ordinal`` negative or past the last match).
     """
-    seen = 0
-    for node in root.iter_preorder():
-        if node.label == label:
-            if seen == ordinal:
-                return node
-            seen += 1
-    return None
+    if isinstance(maintainer, SketchMaintainer):
+        maintainer = maintainer.stable
+    return maintainer.node_at(label, ordinal)
 
 
 def rebuild_partition_like(

@@ -137,16 +137,15 @@ class LiveSketch(RegisteredSketch):
 
         with self._mut_lock:
             maintainer = self.maintainer
-            root = maintainer.tree.root
             if action == "insert_subtree":
-                parent = find_labeled(root, parent_label, parent_ordinal)
+                parent = find_labeled(maintainer, parent_label, parent_ordinal)
                 if parent is None:
                     raise KeyError(
                         f"no node labeled {parent_label!r} with ordinal "
                         f"{parent_ordinal} in sketch {self.name!r}")
                 maintainer.insert_subtree(parent, _spec_from_wire(subtree))
             elif action == "delete_subtree":
-                node = find_labeled(root, label, ordinal)
+                node = find_labeled(maintainer, label, ordinal)
                 if node is None:
                     raise KeyError(
                         f"no node labeled {label!r} with ordinal {ordinal} "

@@ -175,20 +175,18 @@ def _build_spec(spec: SubtreeSpec) -> XMLNode:
 def apply_mutation(maintainer, op: MutationOp) -> None:
     """Apply one op to a maintainer (stable or sketch level).
 
-    Works against anything exposing the maintainer edit interface --
-    ``tree``, ``insert_subtree(parent, spec)``, ``delete_subtree(node)``
-    -- i.e. both :class:`repro.core.maintain.StableMaintainer` and
-    :class:`repro.core.live.SketchMaintainer`.  Raises :class:`KeyError`
-    when the op's address does not resolve.
+    Works against both :class:`repro.core.maintain.StableMaintainer` and
+    :class:`repro.core.live.SketchMaintainer`; the op's address resolves
+    through the maintainer's label index (:func:`find_labeled`).  Raises
+    :class:`KeyError` when the op's address does not resolve.
     """
-    root = maintainer.tree.root
     if op.action == "insert_subtree":
-        parent = find_labeled(root, op.parent_label, op.parent_ordinal)
+        parent = find_labeled(maintainer, op.parent_label, op.parent_ordinal)
         if parent is None:
             raise KeyError(f"no node {op.parent_label!r}#{op.parent_ordinal}")
         maintainer.insert_subtree(parent, op.subtree)
     elif op.action == "delete_subtree":
-        node = find_labeled(root, op.label, op.ordinal)
+        node = find_labeled(maintainer, op.label, op.ordinal)
         if node is None:
             raise KeyError(f"no node {op.label!r}#{op.ordinal}")
         maintainer.delete_subtree(node)

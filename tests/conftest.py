@@ -20,6 +20,18 @@ def make_random_tree(rng: random.Random, size: int, labels: str = "abcdef") -> X
     return XMLTree(root)
 
 
+def preorder_labeled(root: XMLNode, label: str, ordinal: int = 0):
+    """Oracle for :func:`repro.core.live.find_labeled`: the ``ordinal``-th
+    node labeled ``label``, found by a whole-document pre-order scan."""
+    seen = 0
+    for node in root.iter_preorder():
+        if node.label == label:
+            if seen == ordinal:
+                return node
+            seen += 1
+    return None
+
+
 @pytest.fixture
 def paper_document() -> XMLTree:
     """The bibliography document of the paper's Figure 1.

@@ -35,6 +35,7 @@ from repro.workload.mutations import (
     make_mutation_workload,
 )
 from repro.xmltree.tree import XMLTree
+from tests.conftest import preorder_labeled
 
 
 def _document() -> XMLTree:
@@ -84,16 +85,33 @@ def _label_counts(tree: XMLTree) -> dict:
 
 class TestFindLabeled:
     def test_preorder_ordinals(self):
+        """Nested same-label nodes: an ancestor precedes its descendants,
+        before and after edits that land between them."""
         tree = XMLTree.from_nested(
             ("r", [("a", [("b", []), ("a", [])]), ("a", [])]))
+        maintainer = SketchMaintainer(tree, 64 * 1024)
         root = tree.root
-        assert find_labeled(root, "r") is root
-        first = find_labeled(root, "a", 0)
+        assert find_labeled(maintainer, "r") is root
+        first = find_labeled(maintainer, "a", 0)
         assert first is root.children[0]
-        assert find_labeled(root, "a", 1) is first.children[1]
-        assert find_labeled(root, "a", 2) is root.children[1]
-        assert find_labeled(root, "a", 3) is None
-        assert find_labeled(root, "zz") is None
+        assert find_labeled(maintainer, "a", 1) is first.children[1]
+        assert find_labeled(maintainer, "a", 2) is root.children[1]
+        assert find_labeled(maintainer, "a", 3) is None
+        assert find_labeled(maintainer, "a", -1) is None
+        assert find_labeled(maintainer, "zz") is None
+
+        inner = maintainer.insert_subtree(first.children[0], ("a", ["a"]))
+        assert find_labeled(maintainer, "a", 1) is inner
+        assert find_labeled(maintainer, "a", 2) is inner.children[0]
+        assert find_labeled(maintainer, "a", 3) is first.children[1]
+        maintainer.delete_subtree(first)
+        assert find_labeled(maintainer, "a", 0) is root.children[0]
+        assert find_labeled(maintainer, "a", 1) is None
+        for label in "rab":
+            for ordinal in range(-1, 5):
+                assert find_labeled(maintainer, label, ordinal) is \
+                    preorder_labeled(root, label, ordinal)
+        maintainer.check()
 
 
 class TestReplayOracle:
@@ -131,7 +149,7 @@ class TestReplayOracle:
         root_label = tree.root.label
         inserted = []
         for i in range(12):
-            parent = find_labeled(maintainer.tree.root, root_label, 0)
+            parent = find_labeled(maintainer, root_label, 0)
             node = maintainer.insert_subtree(
                 parent, ("extra", ["leafa", ("mid", ["leafb"])]))
             inserted.append(node)

@@ -80,10 +80,10 @@ def _churn(maintainer: SketchMaintainer, rng: random.Random, ops: int):
         n_books = _count_label(tree, "book")
         if rng.random() < 0.6 or n_books <= 4:
             shelf = find_labeled(
-                tree.root, "shelf", rng.randrange(_count_label(tree, "shelf")))
+                maintainer, "shelf", rng.randrange(_count_label(tree, "shelf")))
             maintainer.insert_subtree(shelf, _book(rng))
         else:
-            book = find_labeled(tree.root, "book", rng.randrange(n_books))
+            book = find_labeled(maintainer, "book", rng.randrange(n_books))
             maintainer.delete_subtree(book)
         yield step
 
@@ -166,7 +166,7 @@ class TestTrackValuesUnderChurn:
             LiveOptions(track_values=True))
         tree = maintainer.stable.tree
         while _count_label(tree, "book"):
-            maintainer.delete_subtree(find_labeled(tree.root, "book", 0))
+            maintainer.delete_subtree(find_labeled(maintainer, "book", 0))
             assert _live_counts(maintainer) == _recount_values(maintainer)
         assert _live_counts(maintainer) == {}
         snapshot = maintainer.snapshot()

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.live import find_labeled
 from repro.core.maintain import StableMaintainer
 from repro.core.stable import build_stable
 from repro.xmltree.node import XMLNode
 from repro.xmltree.tree import XMLTree
+from tests.conftest import preorder_labeled
 
 
 def canonical(summary):
@@ -60,6 +63,56 @@ def test_maintenance_equals_rebuild(script):
     assert sum(maintainer.summary().count.values()) == sum(
         1 for _ in tree.root.iter_preorder()
     )
+
+
+def _assert_addresses_resolve(maintainer: StableMaintainer) -> None:
+    """Every ``(label, ordinal)`` with ordinal in ``[-1, count]`` resolves
+    to the node a whole-document pre-order scan finds (None at both
+    ends), and the index equals a fresh scan node for node."""
+    root = maintainer.tree.root
+    for label in "rabc":
+        count = sum(1 for n in root.iter_preorder() if n.label == label)
+        assert find_labeled(maintainer, label, -1) is None
+        assert find_labeled(maintainer, label, count) is None
+        for ordinal in range(-1, count + 1):
+            assert find_labeled(maintainer, label, ordinal) is \
+                preorder_labeled(root, label, ordinal)
+    maintainer.check_index()
+
+
+@given(edit_scripts())
+@settings(max_examples=30, deadline=None)
+def test_label_index_matches_preorder_scan(script):
+    """Labels "abc" under root "r", so same-label ancestors are common:
+    the per-label document-order index must survive every edit, and the
+    edits the maintainer rejects must leave it untouched."""
+    seed, size, num_edits = script
+    rng = random.Random(seed)
+    root = XMLNode("r")
+    nodes = [root]
+    for _ in range(size):
+        parent = rng.choice(nodes)
+        nodes.append(parent.new_child(rng.choice("abc")))
+    tree = XMLTree(root)
+    maintainer = StableMaintainer(tree)
+    _assert_addresses_resolve(maintainer)
+
+    for _ in range(num_edits):
+        current = list(tree.root.iter_preorder())
+        roll = rng.random()
+        if roll < 0.1:
+            with pytest.raises(ValueError):
+                maintainer.delete_subtree(tree.root)
+        elif roll < 0.2 and len(current) > 1:
+            with pytest.raises(ValueError):  # the spec is already attached
+                maintainer.insert_subtree(rng.choice(current),
+                                          rng.choice(current[1:]))
+        elif roll < 0.65 or len(current) < 3:
+            parent = rng.choice(current)
+            maintainer.insert_subtree(parent, _spec(rng, rng.randint(0, 2)))
+        else:
+            maintainer.delete_subtree(rng.choice(current[1:]))
+        _assert_addresses_resolve(maintainer)
 
 
 def _spec(rng, depth):

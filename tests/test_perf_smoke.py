@@ -1,8 +1,9 @@
 """Perf smoke test: pins hot-path work counters against budgeted ceilings.
 
 Run with ``pytest -m perf``.  The exact wall-clock of a build varies by
-machine, but the *amount of work* TSBUILD and the eval cache do on a fixed
-dataset is deterministic -- so we pin the observability counters instead
+machine, but the *amount of work* TSBUILD, the eval cache and a live
+``update`` do on a fixed dataset is deterministic -- so we pin the
+observability counters (and, for updates, the nodes traversed) instead
 of seconds.  If a future change pushes a counter past its ceiling (or a
 cache stops hitting), the perf win of docs/PERFORMANCE.md has regressed
 and this test fails before any benchmark needs to run.
@@ -11,15 +12,20 @@ Ceilings are the values measured at the time of the perf overhaul plus
 ~25% headroom (see BENCH_build.json for the measured baseline).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import obs
 from repro.core.build import build_treesketch
+from repro.core.live import SketchMaintainer
 from repro.core.qcache import QueryCache
 from repro.core.stable import build_stable
-from repro.datagen.datasets import TX_DATASETS
+from repro.datagen.datasets import TX_DATASETS, sprot_like
+from repro.serve.registry import SketchRegistry
 from repro.workload.runner import run_selectivity
 from repro.workload.workload import make_workload
+from repro.xmltree.node import XMLNode
 
 pytestmark = pytest.mark.perf
 
@@ -79,3 +85,53 @@ def test_eval_cache_counters(measured):
     # The second workload pass must be served entirely from the cache.
     assert hits >= NUM_QUERIES
     assert measured["counters.eval.queries"] == misses
+
+
+# --------------------------------------------------------------------------
+# Live updates: addressing costs O(edit), not a whole-document scan.
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def live_entry():
+    """A live registry entry over a 21,805-element SProt-shaped document;
+    a lossless budget keeps set-up free of merges."""
+    tree = sprot_like(scale=2.0, seed=13)
+    assert len(tree) >= 20_000
+    registry = SketchRegistry()
+    registry.register_live("live", SketchMaintainer(tree, 64 * 1024 * 1024))
+    return registry.get("live")
+
+
+def _counting(traverse, yielded):
+    def wrapper(node):
+        for visited in traverse(node):
+            yielded[0] += 1
+            yield visited
+    return wrapper
+
+
+@pytest.mark.parametrize("action", ["insert_subtree", "delete_subtree"])
+def test_live_update_visits_only_the_edited_subtree(live_entry, monkeypatch,
+                                                    action):
+    """One ``update`` addressing the last node of the document's most
+    common label yields, across every pre- and post-order traversal, a
+    small multiple of the edited subtree's nodes.  Resolving the address
+    by a scan would yield about the whole document."""
+    root = live_entry.maintainer.tree.root
+    label, count = Counter(
+        node.label for node in root.iter_preorder()).most_common(1)[0]
+    if action == "insert_subtree":
+        fields = dict(parent_label=label, parent_ordinal=count - 1,
+                      subtree=["extra", ["leaf", ["mid", ["leaf"]]]])
+        edited = 4
+    else:
+        fields = dict(label=label, ordinal=count - 1)
+        edited = [node for node in root.iter_preorder()
+                  if node.label == label][-1].subtree_size()
+    yielded = [0]
+    for name in ("iter_preorder", "iter_postorder"):
+        monkeypatch.setattr(XMLNode, name,
+                            _counting(getattr(XMLNode, name), yielded))
+    live_entry.update(action, **fields)
+    assert 0 < yielded[0] <= 4 * edited, (yielded[0], edited)

@@ -118,6 +118,33 @@ class TestProtocolValidation:
         assert excinfo.value.code == "bad_request"
 
 
+class TestAddressing:
+    @pytest.mark.parametrize("action, fields, address", [
+        ("insert_subtree", {"parent_label": "a", "parent_ordinal": 2,
+                            "subtree": "k"}, ("a", 2)),
+        ("delete_subtree", {"label": "n", "ordinal": 2}, ("n", 2)),
+    ])
+    def test_update_resolves_its_address_once(self, monkeypatch, action,
+                                              fields, address):
+        """One ``find_labeled`` call per update, on the maintainer.  The
+        registry looks the name up in ``repro.core.live`` at call time,
+        which is what lets a layer timer patch it."""
+        from repro.core import live
+
+        entry = SketchRegistry().register_live(
+            "live", SketchMaintainer(_tree(), LIVE_BUDGET))
+        calls = []
+        original = live.find_labeled
+
+        def counting(maintainer, label, ordinal=0):
+            calls.append((maintainer, label, ordinal))
+            return original(maintainer, label, ordinal)
+
+        monkeypatch.setattr(live, "find_labeled", counting)
+        entry.update(action, **fields)
+        assert calls == [(entry.maintainer, *address)]
+
+
 class TestSingleServer:
     def test_update_never_serves_a_stale_answer(self, server, client):
         registry, _ = server
@@ -287,13 +314,14 @@ def _spawn_fleet(specs, *extra, workers=2):
                 target=lambda: log.extend(iter(proc.stdout.readline, "")),
                 daemon=True)
             drain.start()
-            return proc, (match.group(1), int(match.group(2))), log
+            return proc, (match.group(1), int(match.group(2))), log, drain
     proc.kill()
     raise AssertionError(
         "fleet did not report readiness in time:\n" + "".join(log))
 
 
-def _stop_fleet(proc):
+def _stop_fleet(proc, drain):
+    """Stop the fleet, let the drain thread read to EOF, close the pipe."""
     if proc.poll() is None:
         proc.send_signal(signal.SIGTERM)
         try:
@@ -301,6 +329,9 @@ def _stop_fleet(proc):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(10)
+    drain.join(10)
+    assert not drain.is_alive()
+    proc.stdout.close()
 
 
 class TestFleetUpdate:
@@ -322,7 +353,7 @@ class TestFleetUpdate:
         after_truth = _truth(oracle.snapshot(), query)
         assert after_truth != before_truth
 
-        proc, control, _log = _spawn_fleet(
+        proc, control, _log, drain = _spawn_fleet(
             specs, "--live-budget-kb", str(LIVE_BUDGET / 1024))
         try:
             with PooledClient(*control) as pool:
@@ -342,4 +373,4 @@ class TestFleetUpdate:
                                                   sketch="live")["sketches"]}
                 assert described["live"]["epoch"] == 1
         finally:
-            _stop_fleet(proc)
+            _stop_fleet(proc, drain)
