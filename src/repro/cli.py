@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 from repro.core.build import TSBuildOptions, build_treesketch
 from repro.core.estimate import estimate_selectivity
 from repro.core.evaluate import eval_query
-from repro.core.expand import expand_result
+from repro.core.expand import ExpansionLimitError, expand_result
 from repro.core.io import load_synopsis, save_synopsis
 from repro.core.stable import StableSummary, build_stable
 from repro.core.treesketch import TreeSketch
@@ -226,11 +226,24 @@ def cmd_query(args: argparse.Namespace) -> int:
     estimate = estimate_selectivity(result)
     print(f"estimated binding tuples: {estimate:,.1f}")
     if args.preview:
-        nesting = expand_result(result, max_nodes=args.max_preview_nodes)
+        nesting = _expand_within(result, args.max_preview_nodes)
+        if nesting is None:
+            return 2
         with open(args.preview, "w", encoding="utf-8") as handle:
-            handle.write(to_xml(nesting.to_xmltree()))
+            handle.write(to_xml(nesting))
         print(f"approximate answer ({nesting.size():,} elements) -> {args.preview}")
     return 0
+
+
+def _expand_within(result, max_nodes: int):
+    """``expand_result`` capped at ``--max-preview-nodes``; an answer over
+    the cap is reported on stderr and gives ``None``."""
+    try:
+        return expand_result(result, max_nodes=max_nodes)
+    except ExpansionLimitError:
+        print(f"approximate answer exceeds --max-preview-nodes={max_nodes}",
+              file=sys.stderr)
+        return None
 
 
 def _render_explanation(payload: dict, twig: str) -> str:
@@ -980,7 +993,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     truth = evaluator.evaluate(query)
     result = eval_query(sketch, query)
     estimate = estimate_selectivity(result)
-    approx = expand_result(result, max_nodes=args.max_preview_nodes)
+    approx = _expand_within(result, args.max_preview_nodes)
+    if approx is None:
+        return 2
     true_count = truth.binding_tuple_count()
     error = abs(estimate - true_count) / max(true_count, 1)
     print(f"exact tuples:     {true_count:,}")

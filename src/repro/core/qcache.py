@@ -12,8 +12,9 @@ Result sketches are returned by reference: every consumer in this codebase
 :func:`repro.core.expand.expand_result`) treats them as read-only, so a
 cached :class:`ResultSketch` is safely shared across calls.
 
-Cache traffic is reported through the PR-1 observability registry as
-``eval.cache.hits`` / ``eval.cache.misses`` / ``eval.cache.evictions``.
+Cache traffic is reported through the :mod:`repro.obs` registry as
+``eval.cache.hits`` / ``eval.cache.misses`` / ``eval.cache.evictions``, and
+``eval.cache.busy_declines`` for lock-free lookups that found the lock held.
 See docs/PERFORMANCE.md for sizing guidance.
 
 The cache is **concurrency-safe**: the serving daemon
@@ -184,10 +185,13 @@ class QueryCache:
         tallies one hit per value returned, as ``selectivity()`` alone or
         ``result()`` then ``selectivity()`` would, so the hit ratio does
         not depend on which path answered.  A miss leaves the miss tally
-        untouched because nothing was evaluated.
+        untouched because nothing was evaluated.  A lock found held counts
+        one ``eval.cache.busy_declines``: the daemon then hands the request
+        to its pool whether or not the cache holds the answer.
         """
         key = str(query)
         if not self._lock.acquire(blocking=False):
+            get_metrics().counter("eval.cache.busy_declines").inc()
             return None
         try:
             entry = self._entries.get(key)

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.query.twig import QueryNode, TwigQuery
-from repro.xmltree.node import XMLNode
-from repro.xmltree.tree import XMLTree
 
 
 @dataclass
@@ -70,16 +68,6 @@ class NestingTree:
         """
         qnode_of = {n.var: n for n in self.query.nodes}
         return _tuples(self.root, qnode_of[self.root.qvar], qnode_of)
-
-    def to_xmltree(self) -> XMLTree:
-        """Convert to a plain :class:`XMLTree` (labels only) for metrics."""
-        root = XMLNode(self.root.label)
-        stack = [(self.root, root)]
-        while stack:
-            src, dst = stack.pop()
-            for child in src.children:
-                stack.append((child, dst.new_child(child.label)))
-        return XMLTree(root)
 
     def is_empty(self) -> bool:
         """True iff the query had no bindings (root-only tree)."""

@@ -755,7 +755,7 @@ class SketchServer:
             return {
                 "sketch": registered.name,
                 "elements": nesting.size(),
-                "xml": to_xml(nesting.to_xmltree()),
+                "xml": to_xml(nesting),
             }
         raise ProtocolError("unknown_op", f"unhandled op {op!r}")  # unreachable
 

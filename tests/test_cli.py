@@ -160,32 +160,62 @@ class TestServeCommand:
         assert "estimated binding tuples: 4.0" in capsys.readouterr().out
 
 
+def _run_module(*argv):
+    """``python -m repro *argv`` in a child process, output captured."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestPreviewCap:
+    """An approximate answer over ``--max-preview-nodes`` is a usage
+    error (one stderr line, exit 2), not a traceback."""
+
+    @pytest.fixture
+    def sketch_path(self, xml_file, tmp_path):
+        path = str(tmp_path / "sketch.json")
+        assert main(["build", xml_file, "--budget-kb", "64", "-o", path]) == 0
+        return path
+
+    def test_query_preview_over_the_cap(self, sketch_path, tmp_path):
+        preview = tmp_path / "preview.xml"
+        proc = _run_module("query", sketch_path, "//a (//p)", "--preview",
+                           str(preview), "--max-preview-nodes", "3")
+        assert proc.returncode == 2
+        assert "estimated binding tuples: 4.0" in proc.stdout
+        assert "--max-preview-nodes=3" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not preview.exists()
+
+    def test_compare_over_the_cap(self, xml_file, sketch_path):
+        proc = _run_module("compare", xml_file, sketch_path, "//a (//p)",
+                           "--max-preview-nodes", "3")
+        assert proc.returncode == 2
+        assert "--max-preview-nodes=3" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestPythonDashM:
     """``python -m repro`` must behave exactly like the console script."""
 
-    def _run(self, *argv):
-        import os
-        import pathlib
-        import subprocess
-        import sys
-
-        import repro
-
-        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-
     def test_module_entry_stats(self, xml_file):
-        proc = self._run("stats", xml_file)
+        proc = _run_module("stats", xml_file)
         assert proc.returncode == 0
         assert "stable summary" in proc.stdout
 
     def test_module_entry_requires_subcommand(self):
-        proc = self._run()
+        proc = _run_module()
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.engine.exact import ExactEvaluator
 from repro.query.parser import parse_path, parse_twig
+from repro.xmltree.parser import parse_xml
+from repro.xmltree.serialize import to_xml
 from repro.xmltree.tree import XMLTree
 
 
@@ -133,9 +135,9 @@ class TestNestingTree:
         nt = evaluator.evaluate(parse_twig("//a (//b)"))
         assert len(nt.root.children) == 2
 
-    def test_to_xmltree(self, evaluator):
+    def test_to_xml_round_trip(self, evaluator):
         q = parse_twig("//a (//p)")
-        tree = evaluator.evaluate(q).to_xmltree()
+        tree = parse_xml(to_xml(evaluator.evaluate(q)))
         assert tree.root.label == "d"
         assert len(tree) == evaluator.evaluate(q).size()
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.engine.nesting import NestingTree, NTNode, empty_result
 from repro.query.parser import parse_twig
+from repro.xmltree.parser import parse_xml
+from repro.xmltree.serialize import to_xml
 
 
 def build_nt(query, spec):
@@ -81,12 +83,13 @@ class TestBindingTupleCount:
 
 
 class TestConversion:
-    def test_to_xmltree_structure(self):
+    def test_to_xml_structure(self):
         q = parse_twig("//a ( /b )")
         nt = build_nt(
             q, ("r", "q0", [("a", "q1", [("b", "q2", [])])])
         )
-        tree = nt.to_xmltree()
+        assert to_xml(nt) == "<r><a><b /></a></r>"
+        tree = parse_xml(to_xml(nt))
         assert len(tree) == 3
         assert tree.root.label == "r"
         assert tree.root.children[0].children[0].label == "b"

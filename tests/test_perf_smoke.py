@@ -12,6 +12,8 @@ Ceilings are the values measured at the time of the perf overhaul plus
 ~25% headroom (see BENCH_build.json for the measured baseline).
 """
 
+import random
+import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
@@ -22,10 +24,14 @@ from repro.core.live import SketchMaintainer
 from repro.core.qcache import QueryCache
 from repro.core.stable import build_stable
 from repro.datagen.datasets import TX_DATASETS, sprot_like
+from repro.serve.client import ServeClient
 from repro.serve.registry import SketchRegistry
+from repro.serve.server import ServeConfig, start_server_thread
 from repro.workload.runner import run_selectivity
 from repro.workload.workload import make_workload
 from repro.xmltree.node import XMLNode
+from repro.xmltree.tree import XMLTree
+from tests.conftest import make_random_tree
 
 pytestmark = pytest.mark.perf
 
@@ -135,3 +141,43 @@ def test_live_update_visits_only_the_edited_subtree(live_entry, monkeypatch,
                             _counting(getattr(XMLNode, name), yielded))
     live_entry.update(action, **fields)
     assert 0 < yielded[0] <= 4 * edited, (yielded[0], edited)
+
+
+# --------------------------------------------------------------------------
+# Expand replies: written from the nesting tree, no intermediate trees.
+# --------------------------------------------------------------------------
+
+
+def test_expand_reply_builds_no_intermediate_tree(monkeypatch):
+    """One ``expand`` of over 1,000 elements through a daemon makes no
+    XMLNode, runs no XMLTree index build and no ElementTree SubElement:
+    the reply is written straight from the nesting tree.  Copying the
+    answer into an XMLTree and then into ElementTree costs one XMLNode
+    and one SubElement per element and one reindex."""
+    registry = SketchRegistry()
+    tree = make_random_tree(random.Random(5), 3_000, labels="abc")
+    registry.register("doc", build_stable(tree))
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    handle = start_server_thread(registry, ServeConfig(port=0))
+    try:
+        with ServeClient("127.0.0.1", handle.port) as client:
+            monkeypatch.setattr(XMLTree, "reindex",
+                                counting("reindex", XMLTree.reindex))
+            monkeypatch.setattr(ET, "SubElement",
+                                counting("SubElement", ET.SubElement))
+            monkeypatch.setattr(XMLNode, "__init__",
+                                counting("XMLNode", XMLNode.__init__))
+            reply = client.expand("//a (//b ?)", sketch="doc")
+            monkeypatch.undo()
+    finally:
+        handle.stop()
+    assert reply["elements"] >= 1_000
+    assert ET.fromstring(reply["xml"]).tag == "r"
+    assert calls == Counter(), dict(calls)

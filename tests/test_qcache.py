@@ -232,6 +232,42 @@ def test_peek_and_info_never_block_on_a_busy_lock(sketch):
     assert cache.peek_selectivity(q) == value  # uncontended again
 
 
+def test_busy_declines_count_a_held_lock_not_a_miss(sketch):
+    """``eval.cache.busy_declines`` counts the loop-side lookups a worker's
+    single-flight lock turned away; a lookup that finds no entry is a
+    plain miss and does not count."""
+    import threading
+
+    cache = QueryCache(sketch)
+    q = parse_twig("//a")
+    with obs.observed() as registry:
+        assert cache.peek_selectivity(q) is None  # miss, lock free
+        assert cache.peek_selectivity(q, with_result=True) is None
+    assert "eval.cache.busy_declines" not in registry.snapshot()["counters"]
+
+    cache.selectivity(q)
+    acquired, release = threading.Event(), threading.Event()
+
+    def hold():
+        with cache._lock:
+            acquired.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold)
+    with obs.observed() as registry:
+        holder.start()
+        assert acquired.wait(10)
+        try:
+            assert cache.peek_selectivity(q) is None  # cached, but busy
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+    flat = obs.report.flatten_snapshot(registry.snapshot())
+    assert flat["counters.eval.cache.busy_declines"] == 1
+    assert "counters.eval.cache.hits" not in flat
+
+
 def test_invalidate_drops_everything_and_bumps_epoch(sketch):
     """The live-maintenance barrier: invalidate() must leave no answer --
     cached or sidecar-seeded -- computed against the old synopsis, and
