@@ -212,9 +212,7 @@ def test_adaptive_debt_threshold_vs_fixed():
             apply_mutation(maintainer, op)
             if i % 2:
                 continue  # probe every other edit
-            # copy() reindexes; the maintainer's in-place edits leave the
-            # tree's oid index stale, which ExactEvaluator relies on.
-            truth_ev = ExactEvaluator(maintainer.stable.tree.copy())
+            truth_ev = ExactEvaluator(maintainer.tree)
             snapshot = maintainer.snapshot()
             per_probe = []
             for query in probes:

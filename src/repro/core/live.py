@@ -58,6 +58,26 @@ from repro.obs import get_metrics, get_tracer
 from repro.xmltree.node import XMLNode
 from repro.xmltree.tree import XMLTree
 
+#: Multiplicative headroom over the byte budget before an oversize
+#: re-merge triggers (mutations may add singleton clusters faster than
+#: debt accrues).
+SIZE_SLACK = 1.25
+#: Relative slack on the average-total-child-count component of the
+#: structural key when routing a newborn class into an existing cluster.
+ROUTE_TOLERANCE = 0.25
+#: Cap on the number of clusters a local re-merge considers (debt seeds
+#: first, then neighbours).
+MAX_REGION = 64
+
+#: :class:`DebtController` steps: on a blown error budget the threshold
+#: is multiplied by ``TIGHTEN_FACTOR``, floored at ``MIN_THRESHOLD_FRACTION``
+#: of the configured base; after a calm stretch (burn rate below
+#: ``RELAX_BELOW``) it is multiplied by ``RELAX_FACTOR``, capped at the base.
+TIGHTEN_FACTOR = 0.25
+RELAX_FACTOR = 2.0
+RELAX_BELOW = 0.5
+MIN_THRESHOLD_FRACTION = 1 / 1024
+
 
 @dataclass
 class LiveOptions:
@@ -66,14 +86,6 @@ class LiveOptions:
     * ``debt_threshold`` -- squared-error drift a cluster may accumulate
       before it seeds a local re-merge (units of squared error, same
       scale as ``MergePartition.total_sq``);
-    * ``size_slack`` -- multiplicative headroom over the byte budget
-      before an oversize re-merge triggers (mutations may add singleton
-      clusters faster than debt accrues);
-    * ``route_tolerance`` -- relative slack on the average-total-child-
-      count component of the structural key when routing a newborn class
-      into an existing cluster (``0`` = exact match only);
-    * ``max_region`` -- cap on the number of clusters a local re-merge
-      considers (debt seeds first, then neighbours);
     * ``max_dissolve`` -- cap on the singleton clusters one local
       re-merge may create by dissolving drifted clusters.  The region
       drain scores same-label pairs, so its cost is quadratic in the
@@ -92,9 +104,6 @@ class LiveOptions:
     """
 
     debt_threshold: float = 32.0
-    size_slack: float = 1.25
-    route_tolerance: float = 0.25
-    max_region: int = 64
     max_dissolve: int = 256
     auto_remerge: bool = True
     track_values: bool = False
@@ -437,14 +446,14 @@ class DebtController:
     ledger feed :meth:`observe`) back to the knob:
 
     * when the trailing-window mean error exceeds ``target_rel_error``
-      (burn rate > 1), the threshold is multiplied by ``tighten_factor``
+      (burn rate > 1), the threshold is multiplied by ``TIGHTEN_FACTOR``
       (clamped at ``min_threshold``) and a re-merge runs immediately so
       the already-accumulated debt is settled at the new, tighter bar;
       the error window is cleared so recovery is measured on the
       repaired sketch rather than on stale pre-repair samples;
-    * when the burn rate stays below ``relax_below`` for ``cooldown``
+    * when the burn rate stays below ``RELAX_BELOW`` for ``cooldown``
       consecutive observations, the threshold is multiplied by
-      ``relax_factor`` (clamped at ``max_threshold``, the configured
+      ``RELAX_FACTOR`` (clamped at ``max_threshold``, the configured
       fixed setting) -- accuracy headroom is traded back for fewer
       re-merges.
 
@@ -459,34 +468,17 @@ class DebtController:
         target_rel_error: float = 0.25,
         window: int = 16,
         min_samples: int = 4,
-        tighten_factor: float = 0.25,
-        relax_factor: float = 2.0,
-        relax_below: float = 0.5,
         cooldown: int = 32,
-        min_threshold: Optional[float] = None,
-        max_threshold: Optional[float] = None,
     ) -> None:
         if target_rel_error <= 0:
             raise ValueError("target_rel_error must be positive")
-        if not 0.0 < tighten_factor < 1.0:
-            raise ValueError("tighten_factor must be in (0, 1)")
-        if relax_factor <= 1.0:
-            raise ValueError("relax_factor must be > 1")
         self.maintainer = maintainer
         base = maintainer.options.debt_threshold
         self.target_rel_error = float(target_rel_error)
         self.min_samples = max(1, int(min_samples))
-        self.tighten_factor = float(tighten_factor)
-        self.relax_factor = float(relax_factor)
-        self.relax_below = float(relax_below)
         self.cooldown = max(1, int(cooldown))
-        self.min_threshold = (
-            float(min_threshold) if min_threshold is not None
-            else base / 1024.0
-        )
-        self.max_threshold = (
-            float(max_threshold) if max_threshold is not None else base
-        )
+        self.min_threshold = base * MIN_THRESHOLD_FRACTION
+        self.max_threshold = base
         self.errors: deque = deque(maxlen=max(1, int(window)))
         self.observations = 0
         self.tightened = 0
@@ -518,7 +510,7 @@ class DebtController:
         if burn > 1.0:
             self._calm = 0
             tightened = max(
-                self.min_threshold, opts.debt_threshold * self.tighten_factor
+                self.min_threshold, opts.debt_threshold * TIGHTEN_FACTOR
             )
             if tightened < opts.debt_threshold:
                 opts.debt_threshold = tightened
@@ -531,13 +523,13 @@ class DebtController:
             self.maintainer._maybe_remerge()
             self.errors.clear()
             self._g_burn.set(0.0)
-        elif burn < self.relax_below:
+        elif burn < RELAX_BELOW:
             self._calm += 1
             if (self._calm >= self.cooldown
                     and opts.debt_threshold < self.max_threshold):
                 opts.debt_threshold = min(
                     self.max_threshold,
-                    opts.debt_threshold * self.relax_factor,
+                    opts.debt_threshold * RELAX_FACTOR,
                 )
                 self.relaxed += 1
                 self._m_relax.inc()
@@ -780,7 +772,7 @@ class SketchMaintainer:
             grouped[c] = grouped.get(c, 0.0) + k
         degree = len(grouped)
         total = sum(grouped.values())
-        tolerance = self.options.route_tolerance
+        tolerance = ROUTE_TOLERANCE
         best = None
         best_gap = None
         scanned = 0
@@ -831,10 +823,6 @@ class SketchMaintainer:
     def size_bytes(self) -> int:
         return self.partition.size_bytes()
 
-    @property
-    def num_clusters(self) -> int:
-        return self.partition.num_nodes
-
     def _maybe_remerge(self) -> None:
         threshold = self.options.debt_threshold
         part = self.partition
@@ -842,7 +830,7 @@ class SketchMaintainer:
             u for u, d in self.debt.items()
             if d > threshold and u in part.members
         ]
-        oversize = part.size_bytes() > self.budget_bytes * self.options.size_slack
+        oversize = part.size_bytes() > self.budget_bytes * SIZE_SLACK
         if crossing or oversize:
             self._run_remerge(crossing, oversize)
 
@@ -896,16 +884,16 @@ class SketchMaintainer:
             region |= {u for u in self._touched if u in part.members}
         seeds = sorted(
             region, key=lambda u: self.debt.get(u, 0.0), reverse=True
-        )[: opts.max_region]
+        )[:MAX_REGION]
         region = set(seeds)
         for u in seeds:
             region |= part.parents_of(u)
             region.update(t for t in part.out_stats[u] if t in part.members)
         region = {u for u in region if u in part.members}
-        if len(region) > opts.max_region:
+        if len(region) > MAX_REGION:
             region = set(sorted(
                 region, key=lambda u: self.debt.get(u, 0.0), reverse=True
-            )[: opts.max_region])
+            )[:MAX_REGION])
 
         # Dissolve the clusters whose statistics drifted past the
         # threshold: re-clustering them from exact singletons is what
@@ -1031,9 +1019,13 @@ class SketchMaintainer:
         total = sum(part.cluster_sq.values())
         assert abs(total - part.total_sq) < 1e-6 * max(1.0, abs(total)), \
             (total, part.total_sq)
-        doc_nodes = len(list(self.stable.tree.root.iter_preorder()))
-        assert sum(part.count.values()) == doc_nodes
-        self.stable.check_index()
+        # The document's label index is, node for node, a fresh scan.
+        scan: Dict[str, List[XMLNode]] = {}
+        for node in self.tree.root.iter_preorder():
+            scan.setdefault(node.label, []).append(node)
+        assert {label: self.tree.nodes_with_label(label)
+                for label in self.tree.labels} == scan
+        assert sum(part.count.values()) == sum(map(len, scan.values()))
 
     def _refresh_gauges(self) -> None:
         self._g_debt.set(self.total_debt())
@@ -1049,17 +1041,12 @@ def find_labeled(
     """The ``ordinal``-th node labeled ``label`` in document pre-order.
 
     This is the wire protocol's node addressing scheme (``label`` +
-    ``ordinal`` in an ``update`` request).  It is an index lookup: the
-    :class:`~repro.core.maintain.StableMaintainer` owning the document
-    keeps each label's nodes in document order through its own edits
-    (:meth:`~repro.core.maintain.StableMaintainer.node_at`).  It does not
-    use ``XMLTree``'s oid, pre/post or label indexes, which the
-    maintainer's in-place edits still leave stale.  Returns ``None`` when
-    no such node exists (``ordinal`` negative or past the last match).
+    ``ordinal`` in an ``update`` request).  It is an index lookup in the
+    maintained document's label index (:meth:`XMLTree.node_at`), which
+    the document's own edits keep current.  Returns ``None`` when no such
+    node exists (``ordinal`` negative or past the last match).
     """
-    if isinstance(maintainer, SketchMaintainer):
-        maintainer = maintainer.stable
-    return maintainer.node_at(label, ordinal)
+    return maintainer.tree.node_at(label, ordinal)
 
 
 def rebuild_partition_like(

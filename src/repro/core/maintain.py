@@ -17,27 +17,27 @@ summary:
 * ``summary()`` exports a regular :class:`StableSummary`, identical (up
   to class renaming) to a from-scratch ``build_stable`` of the current
   document -- the equivalence the test suite checks after random edit
-  sequences;
-* ``node_at(label, ordinal)`` resolves the wire's node address -- the
-  ``ordinal``-th node labeled ``label`` in document pre-order -- from a
-  per-label document-order index that both edits keep current.
+  sequences.
+
+The structural edit itself goes through the document
+(:meth:`XMLTree.insert_subtree` / :meth:`XMLTree.delete_subtree`), which
+keeps its own label index current, so ``tree.node_at(label, ordinal)``
+resolves the wire's node address after every edit.
 
 Cost per edit: O(|edited sub-tree| + height * max fan-out) hash
-operations to reclassify, plus, per label in the edited sub-tree, one
-binary search over that label's index (O(log n) position comparisons by
-ancestor path, each O(height), after one O(fan-out) pass over the
-siblings at each ancestor the search meets) and one slice insert or
-delete -- versus O(|document|) for a rebuild or an addressing scan.
+operations to reclassify, plus the document's label-index upkeep (one
+binary search and one slice edit per label in the edited sub-tree) --
+versus O(|document|) for a rebuild or an addressing scan.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.stable import StableSummary
 from repro.xmltree.node import XMLNode
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import XMLTree, build_nested
 
 Signature = Tuple[str, Tuple[Tuple[int, int], ...]]
 
@@ -65,8 +65,6 @@ class StableMaintainer:
 
         for node in tree.root.iter_postorder():
             self._assign(node)
-        # Wire addressing: label -> that label's nodes in document order.
-        self._by_label: Dict[str, List[XMLNode]] = _group_by_label(tree.root)
 
     # ------------------------------------------------------------------
     # Classification primitives
@@ -142,41 +140,18 @@ class StableMaintainer:
         ``spec`` is a label, a nested ``(label, [children])`` tuple, or a
         detached :class:`XMLNode`.  Returns the inserted root node.
         """
-        node = spec if isinstance(spec, XMLNode) else _build(spec)
-        if node.parent is not None:
-            raise ValueError("spec node is already attached to a document")
-        if id(node) in self._class_of:
-            raise ValueError("spec node is already tracked by this maintainer")
-        parent.add_child(node)
+        node = spec if isinstance(spec, XMLNode) else build_nested(spec)
+        self.tree.insert_subtree(parent, node)
         for descendant in node.iter_postorder():
             self._assign(descendant)
         self._reclassify_ancestors(parent)
-        # The sub-tree's nodes of one label are contiguous in document
-        # order, so each label takes one search and one slice insert.
-        precedes = _precedes(node)
-        for label, run in _group_by_label(node).items():
-            nodes = self._by_label.setdefault(label, [])
-            at = _search(nodes, precedes)
-            nodes[at:at] = run
         self.edits_applied += 1
         return node
 
     def delete_subtree(self, node: XMLNode) -> None:
         """Detach ``node`` (and its sub-tree) and update the summary."""
         parent = node.parent
-        if parent is None:
-            raise ValueError("cannot delete the document root")
-        # Located while ``node`` is still attached: positions are compared
-        # along its root path.  Each label's run is then one slice delete.
-        precedes = _precedes(node)
-        for label, run in _group_by_label(node).items():
-            nodes = self._by_label[label]
-            at = _search(nodes, precedes)
-            del nodes[at:at + len(run)]
-            if not nodes:
-                del self._by_label[label]
-        parent.children.remove(node)
-        node.parent = None
+        self.tree.delete_subtree(node)
         for descendant in node.iter_postorder():
             self._drop_node(descendant)
         self._reclassify_ancestors(parent)
@@ -222,23 +197,6 @@ class StableMaintainer:
     def class_of(self, node: XMLNode) -> int:
         """Current class id of a tracked node."""
         return self._class_of[id(node)]
-
-    def node_at(self, label: str, ordinal: int) -> Optional[XMLNode]:
-        """The ``ordinal``-th node labeled ``label`` in document pre-order,
-        or None when there is no such node (including ``ordinal < 0``)."""
-        nodes = self._by_label.get(label, ())
-        return nodes[ordinal] if 0 <= ordinal < len(nodes) else None
-
-    def check_index(self) -> None:
-        """Expensive audit (test suite): every label's index list is,
-        node for node, a fresh pre-order scan of the current document."""
-        fresh = _group_by_label(self.tree.root)
-        assert self._by_label.keys() == fresh.keys(), (
-            sorted(self._by_label), sorted(fresh))
-        for label, nodes in fresh.items():
-            indexed = self._by_label[label]
-            assert len(indexed) == len(nodes) and all(
-                a is b for a, b in zip(indexed, nodes)), label
 
     # ------------------------------------------------------------------
     # Delta tracking (for incremental synopsis maintenance)
@@ -291,71 +249,3 @@ class StableMaintainer:
         class.  Immutable for the lifetime of the class id."""
         return self._signature_of[cid]
 
-
-def _group_by_label(root: XMLNode) -> Dict[str, List[XMLNode]]:
-    """``root``'s sub-tree as label -> nodes, each list in pre-order."""
-    groups: Dict[str, List[XMLNode]] = {}
-    for node in root.iter_preorder():
-        groups.setdefault(node.label, []).append(node)
-    return groups
-
-
-def _precedes(target: XMLNode) -> Callable[[XMLNode], bool]:
-    """A test ``x -> x comes before target in document pre-order``.
-
-    ``x`` must be attached to ``target``'s document.  Positions are
-    compared by ancestor path: ``x`` climbs until it meets ``target``'s
-    root path.  Meeting ``target`` itself means ``x`` lies in its
-    sub-tree (not before); a proper ancestor of ``target`` precedes it;
-    otherwise the common ancestor's two branches decide by sibling order.
-    The siblings before ``target``'s branch are collected at most once
-    per ancestor, so a binary search pays one O(fan-out) pass per
-    ancestor it meets and O(height) per comparison.
-    """
-    toward: Dict[int, Optional[XMLNode]] = {id(target): None}
-    node = target
-    while node.parent is not None:
-        toward[id(node.parent)] = node
-        node = node.parent
-    earlier: Dict[int, Set[int]] = {}
-
-    def precedes(x: XMLNode) -> bool:
-        branch = None
-        while id(x) not in toward:
-            branch, x = x, x.parent
-        own = toward[id(x)]
-        if own is None:
-            return False
-        if branch is None:
-            return True
-        before = earlier.get(id(x))
-        if before is None:
-            children = x.children
-            before = earlier[id(x)] = set(
-                map(id, children[:children.index(own)]))
-        return id(branch) in before
-
-    return precedes
-
-
-def _search(nodes: List[XMLNode], precedes: Callable[[XMLNode], bool]) -> int:
-    """Index of the first node in the document-ordered ``nodes`` that
-    does not satisfy ``precedes`` (``bisect_left`` with a predicate)."""
-    lo, hi = 0, len(nodes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if precedes(nodes[mid]):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _build(spec: Union[str, tuple]) -> XMLNode:
-    if isinstance(spec, str):
-        return XMLNode(spec)
-    label, children = spec
-    node = XMLNode(label)
-    for child in children:
-        node.add_child(_build(child))
-    return node

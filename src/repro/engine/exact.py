@@ -52,7 +52,7 @@ class ExactEvaluator:
         bindings), the returned nesting tree consists of the bare root
         occurrence and ``binding_tuple_count() == 0``.
         """
-        ctx = _EvalContext()
+        ctx = self._context()
         qindex = self._query_index(query)
         root = self.tree.root
         nt_root = NTNode(label=root.label, qvar="q0", oid=root.oid)
@@ -62,13 +62,13 @@ class ExactEvaluator:
 
     def selectivity(self, query: TwigQuery) -> int:
         """Number of binding tuples of ``query`` (without building NT)."""
-        ctx = _EvalContext()
+        ctx = self._context()
         qindex = self._query_index(query)
         return self._count(self.tree.root, query.root, qindex, ctx)
 
     def path_targets(self, elem: XMLNode, path: Path) -> List[XMLNode]:
         """Elements reached from ``elem`` via ``path`` (predicates honoured)."""
-        return self._targets(elem, path, _EvalContext())
+        return self._targets(elem, path, self._context())
 
     def binding_tuples(self, query: TwigQuery, limit: Optional[int] = None):
         """Yield the query's binding tuples as ``{variable: XMLNode}`` dicts.
@@ -78,7 +78,7 @@ class ExactEvaluator:
         see Table 2).  Optional variables bind to ``None`` when their
         branch is empty.  ``q0`` is always the document root.
         """
-        ctx = _EvalContext()
+        ctx = self._context()
         qindex = self._query_index(query)
         root = self.tree.root
         if not self._sat(root, query.root, qindex, ctx):
@@ -131,6 +131,11 @@ class ExactEvaluator:
             result = dict(partial)
             result.update(combo)
             yield result
+
+    def _context(self) -> _EvalContext:
+        # The memo tables key on oids, which an edit leaves stale.
+        self.tree.refresh()
+        return _EvalContext()
 
     # ------------------------------------------------------------------
     # Path matching

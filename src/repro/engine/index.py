@@ -12,8 +12,8 @@ The engine needs two primitives per axis step:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Dict, List
+from bisect import bisect_left
+from typing import List
 
 from repro.query.path import WILDCARD
 from repro.xmltree.node import XMLNode
@@ -21,14 +21,14 @@ from repro.xmltree.tree import XMLTree
 
 
 class DocumentIndex:
-    """Label + interval index over one document tree."""
+    """Label + interval index over one document tree.
+
+    It reads the tree's own indexes on every call, so an edit made
+    through the tree never leaves it stale.
+    """
 
     def __init__(self, tree: XMLTree) -> None:
         self.tree = tree
-        # Per-label sorted oid lists come straight from the tree's index.
-        self._by_label: Dict[str, List[int]] = {
-            label: tree.oids_with_label(label) for label in tree.labels
-        }
 
     def children_with_label(self, node: XMLNode, label: str) -> List[XMLNode]:
         """Direct children of ``node`` matching ``label`` (doc order)."""
@@ -38,24 +38,19 @@ class DocumentIndex:
 
     def descendants_with_label(self, node: XMLNode, label: str) -> List[XMLNode]:
         """Proper descendants of ``node`` matching ``label`` (doc order)."""
-        lo = node.oid + 1
-        hi = node.oid + self.tree.subtree_size(node)  # inclusive of last oid
+        span = self.tree.descendant_oid_range(node)
+        nodes = self.tree.nodes
         if label == WILDCARD:
-            return [self.tree.node(oid) for oid in range(lo, hi)]
-        oids = self._by_label.get(label)
-        if not oids:
-            return []
-        start = bisect_left(oids, lo)
-        end = bisect_right(oids, hi - 1)
-        return [self.tree.node(oid) for oid in oids[start:end]]
+            return nodes[span.start:span.stop]
+        oids = self.tree.oids_with_label(label)
+        start = bisect_left(oids, span.start)
+        end = bisect_left(oids, span.stop, start)
+        return [nodes[oid] for oid in oids[start:end]]
 
     def count_descendants_with_label(self, node: XMLNode, label: str) -> int:
         """Number of proper descendants of ``node`` matching ``label``."""
-        lo = node.oid + 1
-        hi = node.oid + self.tree.subtree_size(node)
+        span = self.tree.descendant_oid_range(node)
         if label == WILDCARD:
-            return hi - lo
-        oids = self._by_label.get(label)
-        if not oids:
-            return 0
-        return bisect_right(oids, hi - 1) - bisect_left(oids, lo)
+            return len(span)
+        oids = self.tree.oids_with_label(label)
+        return bisect_left(oids, span.stop) - bisect_left(oids, span.start)

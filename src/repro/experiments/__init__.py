@@ -12,7 +12,6 @@ Environment knobs (all optional):
   (default 40; ESD evaluation is the expensive part).
 * ``REPRO_BUDGETS_KB``   -- comma-separated synopsis budgets
   (default ``10,20,30,40,50``, the paper's x-axis).
-* ``REPRO_SCALE``        -- multiplies data-set scales (default 1.0).
 """
 
 from repro.experiments.harness import (

@@ -34,10 +34,6 @@ def budgets_kb(default: str = "10,20,30,40,50") -> List[int]:
     return [int(part) for part in raw.split(",") if part.strip()]
 
 
-def dataset_scale() -> float:
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
-
-
 @dataclass
 class Bundle:
     """One data set with its stable summary and workload."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Container, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.io import load_synopsis
 from repro.core.qcache import QueryCache
@@ -316,30 +316,6 @@ class SketchRegistry:
                 else:
                     get_metrics().counter("store.cache.restored").inc(restored)
         return entry
-
-    def load_specs(self, specs: Iterable[str],
-                   only: Optional[Container[str]] = None,
-                   ) -> List[RegisteredSketch]:
-        """Load a list of CLI specs (``[NAME=]PATH``), optionally filtered.
-
-        ``only`` restricts loading to the named subset -- the sharded
-        serving tier's load-time filter: a worker passes its shard
-        (:func:`repro.serve.sharding.shard_names`) and never touches the
-        bytes of sketches other workers own.  Spec names are resolved
-        eagerly (:func:`parse_spec`) so a duplicate name fails before any
-        load work happens.
-        """
-        parsed = [parse_spec(spec) for spec in specs]
-        names = [name for name, _ in parsed]
-        for name in names:
-            if names.count(name) > 1:
-                raise ValueError(f"duplicate sketch name {name!r} in specs")
-        loaded = []
-        for name, path in parsed:
-            if only is not None and name not in only:
-                continue
-            loaded.append(self.load(path, name=name))
-        return loaded
 
     def get(self, name: Optional[str] = None) -> RegisteredSketch:
         """Look up by name; ``None`` resolves iff exactly one is registered.

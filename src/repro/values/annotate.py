@@ -80,8 +80,3 @@ def annotate_sketch_values(
         summaries[cid] = merged
     sketch.values = summaries
     return summaries
-
-
-def values_size_bytes(summaries: Dict[int, ValueSummary]) -> int:
-    """Extra storage the value annotation costs (reported separately)."""
-    return sum(summary.size_bytes() for summary in summaries.values())

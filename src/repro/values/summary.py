@@ -28,10 +28,6 @@ class ValueSummary:
         """All elements in the extent (with or without a value)."""
         return sum(self.top.values()) + self.rest_count + self.null_count
 
-    @property
-    def distinct_estimate(self) -> int:
-        return len(self.top) + self.rest_distinct
-
     @classmethod
     def from_values(
         cls, values: Iterable[Optional[str]], top_k: int = 8

@@ -23,8 +23,7 @@ from random import Random
 from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.core.live import find_labeled
-from repro.xmltree.node import XMLNode
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import XMLTree, build_nested
 
 #: Nested subtree spec: a label, or ``(label, [spec, ...])``.
 SubtreeSpec = Union[str, Tuple[str, list]]
@@ -95,17 +94,6 @@ def load_ops(text: str) -> List[MutationOp]:
     return ops
 
 
-def _ordinal_of(root: XMLNode, target: XMLNode) -> Tuple[str, int]:
-    """The wire address ``(label, preorder ordinal)`` of one live node."""
-    seen = 0
-    for node in root.iter_preorder():
-        if node.label == target.label:
-            if node is target:
-                return target.label, seen
-            seen += 1
-    raise ValueError("target node is not in the document")  # pragma: no cover
-
-
 def _random_spec(rng: Random, labels: List[str], budget: int) -> SubtreeSpec:
     """A small random nested subtree drawing labels from the document."""
     label = rng.choice(labels)
@@ -137,39 +125,26 @@ def make_mutation_workload(
         raise ValueError("num_ops must be >= 0")
     rng = Random(seed)
     shadow = tree.copy()
-    labels = sorted({node.label for node in shadow.root.iter_preorder()})
+    labels = shadow.labels
     ops: List[MutationOp] = []
     for _ in range(num_ops):
         nodes = list(shadow.root.iter_preorder())
         want_delete = rng.random() >= insert_fraction and len(nodes) > 1
         if want_delete:
             target = rng.choice(nodes[1:])  # never the root
-            label, ordinal = _ordinal_of(shadow.root, target)
-            ops.append(MutationOp(action="delete_subtree",
-                                  label=label, ordinal=ordinal))
-            target.parent.children.remove(target)
-            target.parent = None
+            ops.append(MutationOp(action="delete_subtree", label=target.label,
+                                  ordinal=shadow.ordinal_of(target)))
+            shadow.delete_subtree(target)
         else:
             parent = rng.choice(nodes)
-            parent_label, parent_ordinal = _ordinal_of(shadow.root, parent)
             spec = _random_spec(rng, labels,
                                 rng.randint(1, max_subtree_nodes))
             ops.append(MutationOp(action="insert_subtree",
-                                  parent_label=parent_label,
-                                  parent_ordinal=parent_ordinal,
+                                  parent_label=parent.label,
+                                  parent_ordinal=shadow.ordinal_of(parent),
                                   subtree=spec))
-            parent.add_child(_build_spec(spec))
+            shadow.insert_subtree(parent, build_nested(spec))
     return ops
-
-
-def _build_spec(spec: SubtreeSpec) -> XMLNode:
-    if isinstance(spec, str):
-        return XMLNode(spec)
-    label, children = spec
-    node = XMLNode(label)
-    for child in children:
-        node.add_child(_build_spec(child))
-    return node
 
 
 def apply_mutation(maintainer, op: MutationOp) -> None:
@@ -177,7 +152,7 @@ def apply_mutation(maintainer, op: MutationOp) -> None:
 
     Works against both :class:`repro.core.maintain.StableMaintainer` and
     :class:`repro.core.live.SketchMaintainer`; the op's address resolves
-    through the maintainer's label index (:func:`find_labeled`).  Raises
+    through the document's label index (:func:`find_labeled`).  Raises
     :class:`KeyError` when the op's address does not resolve.
     """
     if op.action == "insert_subtree":

@@ -6,8 +6,10 @@ identifier (oid) and a string label (tag).  The package provides:
 
 * :class:`~repro.xmltree.node.XMLNode` -- a single element node.
 * :class:`~repro.xmltree.tree.XMLTree` -- the document tree, with pre-order
-  oids, label indexes, Euler (pre/post) intervals for fast
-  ancestor/descendant tests, and structural statistics.
+  oids, label indexes, sub-tree intervals for fast ancestor/descendant
+  tests, and in-place sub-tree edits that keep the label index current;
+  :func:`~repro.xmltree.tree.build_nested` builds a sub-tree from a nested
+  ``(label, [children...])`` spec.
 * :mod:`~repro.xmltree.parser` -- parsing from XML text (via the stdlib
   ``xml.etree.ElementTree``) and from a compact native text form.
 * :mod:`~repro.xmltree.serialize` -- serialization back to XML text and to
@@ -18,7 +20,7 @@ identifier (oid) and a string label (tag).  The package provides:
 """
 
 from repro.xmltree.node import XMLNode
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import XMLTree, build_nested
 from repro.xmltree.parser import parse_xml, parse_compact, from_etree
 from repro.xmltree.serialize import to_xml, to_compact, to_etree
 from repro.xmltree.stats import TreeStats, compute_stats
@@ -26,6 +28,7 @@ from repro.xmltree.stats import TreeStats, compute_stats
 __all__ = [
     "XMLNode",
     "XMLTree",
+    "build_nested",
     "parse_xml",
     "parse_compact",
     "from_etree",

@@ -77,15 +77,6 @@ class _Partition:
             self._hist[cid] = hist
         return hist
 
-    def _invalidate_around(self, atom_ids: Sequence[int]) -> None:
-        """Drop cached histograms of the clusters parenting these atoms."""
-        parents: Set[int] = set()
-        for aid in atom_ids:
-            for src in self.in_atoms[aid]:
-                parents.add(self.assign[src])
-        for cid in parents:
-            self._hist.pop(cid, None)
-
     def split(self, cid: int, groups: Sequence[Sequence[int]]):
         """Split ``cid`` into the given atom groups; returns an undo token."""
         if len(groups) < 2:

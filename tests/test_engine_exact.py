@@ -6,7 +6,7 @@ from repro.engine.exact import ExactEvaluator
 from repro.query.parser import parse_path, parse_twig
 from repro.xmltree.parser import parse_xml
 from repro.xmltree.serialize import to_xml
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import XMLTree, build_nested
 
 
 @pytest.fixture
@@ -61,6 +61,19 @@ class TestPathTargets:
     def test_alternation(self, evaluator, paper_document):
         targets = evaluator.path_targets(paper_document.root, parse_path("//p|b"))
         assert len(targets) == 6  # 4 papers + 2 books
+
+
+class TestAfterEdits:
+    def test_an_evaluator_follows_edits_made_through_the_tree(self):
+        """Built before the edits, it still answers on the current
+        document: the child axis needs fresh oids (two new nodes share
+        the unindexed oid -1) and the descendant axis fresh label lists."""
+        tree = XMLTree.from_nested(("r", ["a"]))
+        evaluator = ExactEvaluator(tree)
+        for _ in range(2):
+            tree.insert_subtree(tree.root, build_nested("a"))
+        assert evaluator.selectivity(parse_twig("/a")) == 3
+        assert evaluator.selectivity(parse_twig("//a")) == 3
 
 
 class TestSelectivity:

@@ -26,6 +26,8 @@ from repro.core.live import (
 )
 from repro.core.stable import build_stable
 from repro.core.treesketch import TreeSketch
+from repro.datagen import sprot_like
+from repro.engine.exact import ExactEvaluator
 from repro.query.parser import parse_twig
 from repro.workload.mutations import (
     MutationOp,
@@ -112,6 +114,27 @@ class TestFindLabeled:
                 assert find_labeled(maintainer, label, ordinal) is \
                     preorder_labeled(root, label, ordinal)
         maintainer.check()
+
+
+class TestExactTruthOnTheLiveDocument:
+    def test_live_tree_answers_like_a_fresh_copy(self):
+        """Exact truth read straight from the maintained document equals
+        truth on a freshly indexed copy after every op: the edits keep
+        the tree's indexes fresh, so no caller needs ``copy()``."""
+        tree = sprot_like(scale=0.05, seed=4)
+        ops = make_mutation_workload(tree, num_ops=40, seed=5)
+        maintainer = SketchMaintainer(tree, _budget_for(tree))
+        twigs = [parse_twig(q) for q in (
+            "//entry[//ref] (//feature)",
+            "//feature (/location)",
+            "//entry (//ref (/author ?))",
+        )]
+        for op in ops:
+            apply_mutation(maintainer, op)
+            live = ExactEvaluator(maintainer.tree)
+            fresh = ExactEvaluator(maintainer.tree.copy())
+            for twig in twigs:
+                assert live.selectivity(twig) == fresh.selectivity(twig), op
 
 
 class TestReplayOracle:

@@ -68,8 +68,9 @@ def test_maintenance_equals_rebuild(script):
 def _assert_addresses_resolve(maintainer: StableMaintainer) -> None:
     """Every ``(label, ordinal)`` with ordinal in ``[-1, count]`` resolves
     to the node a whole-document pre-order scan finds (None at both
-    ends), and the index equals a fresh scan node for node."""
-    root = maintainer.tree.root
+    ends), and ``ordinal_of`` inverts ``node_at``."""
+    tree = maintainer.tree
+    root = tree.root
     for label in "rabc":
         count = sum(1 for n in root.iter_preorder() if n.label == label)
         assert find_labeled(maintainer, label, -1) is None
@@ -77,15 +78,44 @@ def _assert_addresses_resolve(maintainer: StableMaintainer) -> None:
         for ordinal in range(-1, count + 1):
             assert find_labeled(maintainer, label, ordinal) is \
                 preorder_labeled(root, label, ordinal)
-    maintainer.check_index()
+        for ordinal in range(count):
+            assert tree.ordinal_of(tree.node_at(label, ordinal)) == ordinal
+
+
+def _assert_indexes_match_a_fresh_tree(tree: XMLTree) -> None:
+    """Every index ``tree`` exposes equals the one a fresh ``XMLTree``
+    builds over a copy of the current document; the label index is, node
+    for node, a pre-order scan."""
+    fresh = tree.copy()
+    scan = list(tree.root.iter_preorder())
+    pairs = list(zip(scan, fresh.root.iter_preorder()))
+    assert len(pairs) == len(scan) == len(tree) == len(fresh)
+    assert list(tree) == scan
+    assert [tree.node(oid) for oid in range(len(scan))] == scan
+    assert tree.labels == fresh.labels
+    for label in tree.labels:
+        assert tree.nodes_with_label(label) == [
+            node for node in scan if node.label == label]
+        assert tree.oids_with_label(label) == fresh.oids_with_label(label)
+    assert tree.height == fresh.height
+    for mine, theirs in pairs:
+        assert mine.label == theirs.label
+        assert tree.depth_below(mine) == fresh.depth_below(theirs)
+        assert tree.level(mine) == fresh.level(theirs)
+        assert tree.subtree_size(mine) == fresh.subtree_size(theirs)
+    sample = random.Random(len(scan))
+    for _ in range(25):
+        (a, fresh_a), (d, fresh_d) = sample.choice(pairs), sample.choice(pairs)
+        assert tree.is_ancestor(a, d) == fresh.is_ancestor(fresh_a, fresh_d)
 
 
 @given(edit_scripts())
 @settings(max_examples=30, deadline=None)
 def test_label_index_matches_preorder_scan(script):
     """Labels "abc" under root "r", so same-label ancestors are common:
-    the per-label document-order index must survive every edit, and the
-    edits the maintainer rejects must leave it untouched."""
+    the document's indexes must survive every edit, and the edits the
+    maintainer rejects must leave the document and its indexes
+    untouched."""
     seed, size, num_edits = script
     rng = random.Random(seed)
     root = XMLNode("r")
@@ -96,23 +126,32 @@ def test_label_index_matches_preorder_scan(script):
     tree = XMLTree(root)
     maintainer = StableMaintainer(tree)
     _assert_addresses_resolve(maintainer)
+    _assert_indexes_match_a_fresh_tree(tree)
 
     for _ in range(num_edits):
         current = list(tree.root.iter_preorder())
         roll = rng.random()
-        if roll < 0.1:
+        if roll < 0.2:
+            index = {label: tree.nodes_with_label(label)
+                     for label in tree.labels}
             with pytest.raises(ValueError):
-                maintainer.delete_subtree(tree.root)
-        elif roll < 0.2 and len(current) > 1:
-            with pytest.raises(ValueError):  # the spec is already attached
-                maintainer.insert_subtree(rng.choice(current),
-                                          rng.choice(current[1:]))
+                if roll < 0.1:
+                    maintainer.delete_subtree(tree.root)
+                elif roll < 0.15:  # the root is tracked, not attached
+                    maintainer.insert_subtree(rng.choice(current), tree.root)
+                else:  # an attached node
+                    maintainer.insert_subtree(rng.choice(current),
+                                              rng.choice(current))
+            assert list(tree.root.iter_preorder()) == current
+            assert {label: tree.nodes_with_label(label)
+                    for label in tree.labels} == index
         elif roll < 0.65 or len(current) < 3:
             parent = rng.choice(current)
             maintainer.insert_subtree(parent, _spec(rng, rng.randint(0, 2)))
         else:
             maintainer.delete_subtree(rng.choice(current[1:]))
         _assert_addresses_resolve(maintainer)
+        _assert_indexes_match_a_fresh_tree(tree)
 
 
 def _spec(rng, depth):

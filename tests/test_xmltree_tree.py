@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.xmltree.node import XMLNode
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.parser import parse_xml
+from repro.xmltree.tree import XMLTree, build_nested
 from tests.conftest import make_random_tree
 
 
@@ -113,3 +114,55 @@ class TestCopy:
         clone.root.new_child("extra")
         clone.reindex()
         assert len(clone) == len(small_tree) + 1
+
+    def test_copy_keeps_values(self):
+        tree = parse_xml("<r><a>x</a><b>y</b></r>", keep_values=True)
+        assert [node.value for node in tree.copy()] == [None, "x", "y"]
+
+
+def _insert_in_the_middle(tree):
+    """A chain deeper than the document, so the height changes too."""
+    spec = "a"
+    for label in "bc" * tree.height:
+        spec = (label, [spec, "b"])
+    parent = tree.node(len(tree) // 2)
+    return tree.insert_subtree(parent, build_nested(spec))
+
+
+def _delete_before(tree):
+    first, last = tree.root.children[0], tree.root.children[-1]
+    assert first is not last
+    tree.delete_subtree(first)
+    return last
+
+
+# The first read of each oid-numbered index after an edit.  The edited
+# node's oid is stale until the rebuild: -1 for an inserted node, shifted
+# for a node after a deleted sub-tree.
+FIRST_READS = {
+    "len": lambda tree, node: len(tree),
+    "iter": lambda tree, node: [n.label for n in tree],
+    "node": lambda tree, node: [tree.node(oid).label for oid in range(40)],
+    "nodes": lambda tree, node: [n.label for n in tree.nodes],
+    "oids_with_label": lambda tree, node: tree.oids_with_label(node.label),
+    "depth_below": lambda tree, node: tree.depth_below(node.parent),
+    "level": lambda tree, node: tree.level(node),
+    "height": lambda tree, node: tree.height,
+    "subtree_size": lambda tree, node: tree.subtree_size(node),
+    "descendant_oid_range": lambda tree, node: tree.descendant_oid_range(node),
+    "is_ancestor": lambda tree, node: [
+        tree.is_ancestor(a, node) for a in tree.root.iter_preorder()],
+}
+
+
+class TestEdits:
+    @pytest.mark.parametrize("read", sorted(FIRST_READS))
+    @pytest.mark.parametrize("edit", [_insert_in_the_middle, _delete_before])
+    def test_first_read_after_an_edit_is_fresh(self, edit, read):
+        tree = make_random_tree(random.Random(3), 60)
+        node = edit(tree)
+        answer = FIRST_READS[read](tree, node)
+        fresh = tree.copy()
+        position = list(tree.root.iter_preorder()).index(node)
+        twin = list(fresh.root.iter_preorder())[position]
+        assert answer == FIRST_READS[read](fresh, twin)
