@@ -7,7 +7,9 @@ operands were absorbed, and recomputes entries whose neighbourhood changed
 (the paper's ``affected(h, m)`` set -- realized here with per-cluster
 version stamps and lazy recomputation at pop time).  When the heap drains
 below ``Lh`` the pool is regenerated via CREATEPOOL; the loop ends when the
-synopsis fits the budget or no merges remain.
+synopsis fits the budget or no merges remain.  Live maintenance's local
+re-merges run the same CREATEPOOL and drain over one cluster region
+(:meth:`TreeSketchBuilder.merge_region`).
 
 Heap entries are ordered by the *canonical* tuple ``(ratio, errd, sized,
 u, v, ver_u, ver_v)`` -- no insertion-order tiebreak -- so the merge
@@ -28,7 +30,7 @@ import gc
 import heapq
 import logging
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Collection, Dict, Iterable, List, Optional, Union
 
 from repro.core.kernel import KernelPartition
 from repro.core.partition import MergePartition
@@ -154,13 +156,13 @@ class TreeSketchBuilder:
 
     def _resolve(self, cid: int) -> int:
         """Follow forwarding pointers to the surviving cluster id."""
-        seen = []
-        while cid in self._merged_into:
-            seen.append(cid)
-            cid = self._merged_into[cid]
-        for s in seen:  # path compression
-            self._merged_into[s] = cid
-        return cid
+        merged_into = self._merged_into
+        root = cid
+        while root in merged_into:
+            root = merged_into[root]
+        while cid != root:  # path compression
+            merged_into[cid], cid = root, merged_into[cid]
+        return root
 
     def _generate_pool(self, part):
         opts = self.options
@@ -288,50 +290,71 @@ class TreeSketchBuilder:
                 reached_budget=self.reached_budget,
             )
 
-    def _drain_heap(self, heap: List, budget_bytes: int, lower: int) -> bool:
+    def merge_region(self, region: Collection[int], budget_bytes: int) -> None:
+        """A local re-merge: CREATEPOOL over the live clusters in
+        ``region`` only, exhaustive and uncapped (every same-label pair),
+        drained once; under budget the drain keeps applying merges that do
+        not raise the error (ratio <= 0)."""
+        part = self.partition
+        hits, misses = part.memo_hits, part.memo_misses
+        version = part.version
+        heap = [(ratio, errd, sized, u, v, version.get(u, 0), version.get(v, 0))
+                for ratio, errd, sized, u, v in create_pool(
+                    part, len(region) ** 2, None, state=PoolState(part, region))]
+        heapq.heapify(heap)
+        self._drain_heap(heap, budget_bytes, 0, free_merges=True)
+        metrics = get_metrics()
+        metrics.counter("tsbuild.memo_hits").inc(part.memo_hits - hits)
+        metrics.counter("tsbuild.memo_misses").inc(part.memo_misses - misses)
+
+    def _drain_heap(self, heap: List, budget_bytes: int, lower: int,
+                    free_merges: bool = False) -> bool:
         """Apply merges from ``heap`` until budget met or heap low.
 
-        Returns True iff at least one merge was applied.
+        With ``free_merges`` the drain goes on under budget while the best
+        candidate does not raise the error (ratio <= 0).  Returns True iff
+        at least one merge was applied.
         """
         part = self.partition
         reference = self.options.reference
-        metrics = get_metrics()
-        heap_pops = metrics.counter("tsbuild.heap_pops")
-        stale = metrics.counter("tsbuild.stale_recomputations")
-        merges = metrics.counter("tsbuild.merges_applied")
         version = part.version
-        applied = 0
+        merged_into = self._merged_into
+        heappop, heappush = heapq.heappop, heapq.heappush
+        pops = stale = applied = 0
         # Partition size only changes when a merge is applied; track it
         # locally instead of recomputing per pop.
         size = part.size_bytes()
-        while heap and len(heap) > lower and size > budget_bytes:
-            ratio, errd, sized, u, v, ver_u, ver_v = heapq.heappop(heap)
-            heap_pops.inc()
-            u, v = self._resolve(u), self._resolve(v)
+        while heap and len(heap) > lower and (
+                size > budget_bytes or (free_merges and heap[0][0] <= 0)):
+            ratio, errd, sized, u, v, ver_u, ver_v = heappop(heap)
+            pops += 1
+            if u in merged_into:
+                u = self._resolve(u)
+            if v in merged_into:
+                v = self._resolve(v)
             if u == v:
                 continue  # operands already merged together
             cur_u, cur_v = version.get(u, 0), version.get(v, 0)
-            if (ver_u, ver_v) != (cur_u, cur_v):
+            if ver_u != cur_u or ver_v != cur_v:
                 # Stale (operand rewritten or neighbourhood changed):
                 # recompute the metrics and re-queue with fresh stamps.
-                stale.inc()
+                stale += 1
                 if reference:
                     result = part.evaluate_merge_reference(u, v)
-                    if result.sized <= 0:
-                        continue  # non-improving by definition: drop it
-                    entry = (result.ratio, result.errd, result.sized,
-                             u, v, cur_u, cur_v)
+                    ratio, errd, sized = result.ratio, result.errd, result.sized
                 else:
-                    scored = part.scored_merge(u, v)
-                    if scored[2] <= 0:
-                        continue  # non-improving by definition: drop it
-                    entry = scored + (u, v, cur_u, cur_v)
-                heapq.heappush(heap, entry)
+                    ratio, errd, sized = part.scored_merge(u, v)
+                if sized <= 0:
+                    continue  # non-improving by definition: drop it
+                heappush(heap, (ratio, errd, sized, u, v, cur_u, cur_v))
                 continue
             self._apply_merge(part, u, v)
             size = part.size_bytes()
-            merges.inc()
             applied += 1
+        metrics = get_metrics()
+        metrics.counter("tsbuild.heap_pops").inc(pops)
+        metrics.counter("tsbuild.stale_recomputations").inc(stale)
+        metrics.counter("tsbuild.merges_applied").inc(applied)
         return applied > 0
 
 

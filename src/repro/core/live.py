@@ -30,11 +30,11 @@ ever rebuilding from scratch.  Two layers:
     ``struct_version``-backed structural-key cache (singleton fallback on
     miss), tracks per-cluster **error debt** (absolute squared-error drift
     accumulated per mutation), and triggers **bounded local re-merges** --
-    a mini-TSBUILD over only the debt-crossing clusters and their
-    neighbours -- when debt crosses the configured threshold or the
-    synopsis outgrows its budget.  A full pass (``remerge(full=True)``)
-    reuses :class:`~repro.core.build.TreeSketchBuilder` verbatim on the
-    live partition.
+    TSBUILD's CREATEPOOL and heap drain over only the debt-crossing
+    clusters and their neighbours -- when debt crosses the configured
+    threshold or the synopsis outgrows its budget.  Local and full
+    (``remerge(full=True)``) passes both run
+    :class:`~repro.core.build.TreeSketchBuilder` on the live partition.
 
 Cost per edit: O(affected classes x their degree) dictionary work plus an
 occasional bounded re-merge -- versus tens of seconds for a full TSBUILD
@@ -44,7 +44,6 @@ guarantees and the debt model are documented in docs/MAINTENANCE.md.
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -87,14 +86,14 @@ class LiveOptions:
       before it seeds a local re-merge (units of squared error, same
       scale as ``MergePartition.total_sq``);
     * ``max_dissolve`` -- cap on the singleton clusters one local
-      re-merge may create by dissolving drifted clusters.  The region
-      drain scores same-label pairs, so its cost is quadratic in the
-      region size; without this cap, dissolving one giant cluster (at an
-      aggressive budget a cluster can hold thousands of classes) turns a
-      "bounded" re-merge into a near-full TSBUILD.  Clusters larger than
-      the remaining allowance keep their (still exact) statistics and
-      have their debt popped -- they are repaired only by
-      :meth:`SketchMaintainer.remerge` with ``full=True``;
+      re-merge may create by dissolving drifted clusters.  Its pool
+      scores every same-label pair of the region, so its cost is
+      quadratic in the region size; without this cap, dissolving one
+      giant cluster (at an aggressive budget a cluster can hold thousands
+      of classes) turns a "bounded" re-merge into a near-full TSBUILD.
+      Clusters larger than the remaining allowance keep their (still
+      exact) statistics and have their debt popped -- they are repaired
+      only by :meth:`SketchMaintainer.remerge` with ``full=True``;
     * ``auto_remerge`` -- run re-merges automatically after the edits
       that trigger them (disable to drive :meth:`SketchMaintainer.remerge`
       manually, e.g. from tests);
@@ -854,15 +853,17 @@ class SketchMaintainer:
         with get_tracer().span(
             "live.remerge", seeds=len(crossing), full=full
         ) as span:
+            # A fresh builder per re-merge: its forwarding map and pool
+            # state must not outlive births, deaths or dissolves.
+            builder = TreeSketchBuilder(
+                self._seed_summary, self.build_options, partition=part
+            )
             if full:
-                builder = TreeSketchBuilder(
-                    self._seed_summary, self.build_options, partition=part
-                )
                 builder.compress_to(self.budget_bytes)
-                merges = builder.merges_applied
                 self.debt.clear()
             else:
-                merges = self._remerge_region(crossing, oversize)
+                self._remerge_region(builder, crossing, oversize)
+            merges = builder.merges_applied
             span.annotate(merges=merges, size_bytes=part.size_bytes())
         self.remerges += 1
         self.remerge_merges += merges
@@ -874,9 +875,10 @@ class SketchMaintainer:
         self._refresh_gauges()
         return merges
 
-    def _remerge_region(self, crossing: List[int], oversize: bool) -> int:
+    def _remerge_region(self, builder: TreeSketchBuilder,
+                        crossing: List[int], oversize: bool) -> None:
         """Bounded local re-merge: dissolve the debt-crossing clusters,
-        then mini-TSBUILD over them and their neighbours."""
+        then one TSBUILD pass over them and their neighbours."""
         part = self.partition
         opts = self.options
         region: Set[int] = set(crossing)
@@ -898,9 +900,9 @@ class SketchMaintainer:
         # Dissolve the clusters whose statistics drifted past the
         # threshold: re-clustering them from exact singletons is what
         # makes accuracy recover instead of only compounding merges.
-        # Largest debt first, under a singleton allowance: the drain
-        # below scores same-label pairs (quadratic in region size), so a
-        # giant cluster must never explode the region.
+        # Largest debt first, under a singleton allowance: the pool
+        # below scores every same-label pair (quadratic in region size),
+        # so a giant cluster must never explode the region.
         threshold = opts.debt_threshold
         dissolve_left = opts.max_dissolve
         for u in sorted(region, key=lambda c: (-self.debt.get(c, 0.0), c)):
@@ -918,60 +920,9 @@ class SketchMaintainer:
             if u not in part.members:
                 del self.debt[u]
 
-        merges = self._drain_region(region)
+        builder.merge_region(region, self.budget_bytes)
         for u in region:
             self.debt.pop(u, None)
-        return merges
-
-    def _drain_region(self, region: Set[int]) -> int:
-        """TSBUILD's heap drain restricted to one cluster region."""
-        part = self.partition
-        version = part.version
-        by_label: Dict[str, List[int]] = {}
-        for u in sorted(region):
-            if u in part.members:
-                by_label.setdefault(part.cluster_label[u], []).append(u)
-
-        heap: List[Tuple] = []
-        for group in by_label.values():
-            for i, u in enumerate(group):
-                for v in group[i + 1:]:
-                    ratio, errd, sized = part.scored_merge(u, v)
-                    if sized > 0:
-                        heap.append((ratio, errd, sized, u, v,
-                                     version.get(u, 0), version.get(v, 0)))
-        heapq.heapify(heap)
-
-        merged_into: Dict[int, int] = {}
-
-        def resolve(cid: int) -> int:
-            while cid in merged_into:
-                cid = merged_into[cid]
-            return cid
-
-        merges = 0
-        budget = self.budget_bytes
-        size = part.size_bytes()
-        while heap:
-            ratio, errd, sized, u, v, ver_u, ver_v = heapq.heappop(heap)
-            if size <= budget and ratio > 0:
-                break  # under budget and no free improvements left
-            u, v = resolve(u), resolve(v)
-            if u == v or u not in part.members or v not in part.members:
-                continue
-            cur_u, cur_v = version.get(u, 0), version.get(v, 0)
-            if (ver_u, ver_v) != (cur_u, cur_v):
-                ratio, errd, sized = part.scored_merge(u, v)
-                if sized > 0:
-                    heapq.heappush(
-                        heap, (ratio, errd, sized, u, v, cur_u, cur_v)
-                    )
-                continue
-            part.apply_merge(u, v)
-            merged_into[v] = u
-            merges += 1
-            size = part.size_bytes()
-        return merges
 
     # ------------------------------------------------------------------
     # Export and introspection

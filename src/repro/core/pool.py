@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.partition import MergePartition
 
@@ -91,6 +91,8 @@ class PoolState:
       raise it past the initial maximum);
     * a structural-key cache validated by the partition's version stamps.
 
+    ``clusters`` restricts it to those live cluster ids (a re-merge region).
+
     The owning builder must report every applied merge via
     :meth:`on_merge`; :meth:`rebuilt_groups` lets tests audit the
     incremental state against a from-scratch rebuild.
@@ -98,11 +100,14 @@ class PoolState:
 
     __slots__ = ("groups", "max_depth", "_keys", "key_hits", "key_recomputes")
 
-    def __init__(self, partition) -> None:
+    def __init__(self, partition,
+                 clusters: Optional[Iterable[int]] = None) -> None:
         groups: Dict[str, Dict[int, Set[int]]] = {}
         max_depth = 0
+        label_of = partition.cluster_label
         depth_of = partition.cluster_depth
-        for cid, label in partition.cluster_label.items():
+        for cid in label_of if clusters is None else clusters:
+            label = label_of[cid]
             depth = depth_of[cid]
             groups.setdefault(label, {}).setdefault(depth, set()).add(cid)
             if depth > max_depth:
@@ -213,13 +218,10 @@ def _level_pairs(
     """
     plain = acc.plain
     total = len(plain) + len(news)
-    pairs: List[Tuple[int, int]] = []
     if pair_window is None or total <= pair_window + 1:
-        for i, a in enumerate(news):
-            for b in plain:
-                pairs.append((a, b) if a < b else (b, a))
-            for b in news[i + 1:]:
-                pairs.append((a, b) if a < b else (b, a))
+        pairs = [(a, b) if a < b else (b, a) for a in news for b in plain]
+        pairs += [(a, b) if a < b else (b, a)
+                  for i, a in enumerate(news) for b in news[i + 1:]]
         plain.extend(news)
         return pairs
 
@@ -233,6 +235,7 @@ def _level_pairs(
     keys, order = acc.keys, acc.keyed
     half = max(1, pair_window // 2)
     size = len(order)
+    pairs: List[Tuple[int, int]] = []
     seen: Set[Tuple[int, int]] = set()
     for key, a in news_keyed:
         pos = bisect_left(keys, key)

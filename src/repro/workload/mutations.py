@@ -126,24 +126,30 @@ def make_mutation_workload(
     rng = Random(seed)
     shadow = tree.copy()
     labels = shadow.labels
+    # The shadow's pre-order, kept current: a sub-tree is a contiguous run.
+    nodes = list(shadow.root.iter_preorder())
     ops: List[MutationOp] = []
     for _ in range(num_ops):
-        nodes = list(shadow.root.iter_preorder())
         want_delete = rng.random() >= insert_fraction and len(nodes) > 1
         if want_delete:
-            target = rng.choice(nodes[1:])  # never the root
+            at = rng.randrange(1, len(nodes))  # never the root
+            target = nodes[at]
             ops.append(MutationOp(action="delete_subtree", label=target.label,
                                   ordinal=shadow.ordinal_of(target)))
+            del nodes[at:at + target.subtree_size()]
             shadow.delete_subtree(target)
         else:
-            parent = rng.choice(nodes)
+            at = rng.randrange(len(nodes))
+            parent = nodes[at]
             spec = _random_spec(rng, labels,
                                 rng.randint(1, max_subtree_nodes))
             ops.append(MutationOp(action="insert_subtree",
                                   parent_label=parent.label,
                                   parent_ordinal=shadow.ordinal_of(parent),
                                   subtree=spec))
-            shadow.insert_subtree(parent, build_nested(spec))
+            end = at + parent.subtree_size()
+            nodes[end:end] = shadow.insert_subtree(
+                parent, build_nested(spec)).iter_preorder()
     return ops
 
 

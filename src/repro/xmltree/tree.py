@@ -103,6 +103,7 @@ class XMLTree:
         """
         if node.parent is not None or node is self.root:
             raise ValueError("node is already in a document")
+        self._require_member(parent)
         parent.add_child(node)
         precedes = _precedes(node)
         for label, run in _group_by_label(node).items():
@@ -114,6 +115,7 @@ class XMLTree:
 
     def delete_subtree(self, node: XMLNode) -> None:
         """Detach ``node`` and its sub-tree from this document."""
+        self._require_member(node)
         parent = node.parent
         if parent is None:
             raise ValueError("cannot delete the document root")
@@ -129,6 +131,13 @@ class XMLTree:
         parent.children.remove(node)
         node.parent = None
         self._edits += 1
+
+    def _require_member(self, node: XMLNode) -> None:
+        """ValueError unless ``node``'s root path ends at this root."""
+        while node.parent is not None:
+            node = node.parent
+        if node is not self.root:
+            raise ValueError("node is not in this document")
 
     # ------------------------------------------------------------------
     # Label index (always current)
@@ -152,7 +161,8 @@ class XMLTree:
 
     def ordinal_of(self, node: XMLNode) -> int:
         """The ordinal that :meth:`node_at` resolves to ``node``, which
-        must be in this document."""
+        must be in this document (ValueError otherwise)."""
+        self._require_member(node)
         return _search(self._by_label[node.label], _precedes(node))
 
     # ------------------------------------------------------------------

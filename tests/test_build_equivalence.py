@@ -159,6 +159,54 @@ def test_create_pool_variants_agree(seed):
         part.memo_hits = part.memo_misses = 0
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.integers(20, 200))
+def test_region_pool_is_every_improving_same_label_pair(seed, size):
+    """CREATEPOOL over a cluster subset R, exhaustive and uncapped (the
+    pool of ``TreeSketchBuilder.merge_region``), proposes exactly the
+    pairs ``u < v`` of R with one label and ``sized > 0``, each with the
+    score ``scored_merge`` gives; the candidate set alone fixes the
+    drain's pops, so a local re-merge applies the merges a drain over
+    every same-label pair of R would.  A PoolState over R is the full
+    grouping restricted to R."""
+    rng = random.Random(seed)
+    part = MergePartition(build_stable(make_random_tree(rng, size)))
+    for _ in range(rng.randint(0, 6)):
+        pool = create_pool_reference(part, 20, None)
+        if not pool:
+            break
+        _ratio, _errd, _sized, u, v = min(pool)
+        part.apply_merge(u, v)
+    live = sorted(part.members)
+    region = rng.sample(live, rng.randint(0, len(live)))
+    members = set(region)
+
+    restricted = {}
+    for label, buckets in PoolState(part).groups.items():
+        kept = {d: b & members for d, b in buckets.items() if b & members}
+        if kept:
+            restricted[label] = kept
+    state = PoolState(part, region)
+    assert state.groups == restricted
+
+    assert part.merge_memo is None  # expected scores come from a cold scorer
+    expected = {}
+    for i, u in enumerate(sorted(region)):
+        for v in sorted(region)[i + 1:]:
+            if part.cluster_label[u] == part.cluster_label[v]:
+                ratio, errd, sized = part.scored_merge(u, v)
+                if sized > 0:
+                    expected[(u, v)] = (ratio, errd, sized)
+    uncapped = max(1, len(region) ** 2)
+    for _pass in range(2):  # cold memo, then served from the memo
+        pool = create_pool(part, uncapped, None, state=state)
+        got = {(u, v): (ratio, errd, sized)
+               for ratio, errd, sized, u, v in pool}
+        assert len(got) == len(pool)
+        assert got == expected
+    assert part.memo_hits >= len(expected)
+
+
 def test_pool_state_tracks_merges():
     """Incrementally maintained grouping == from-scratch regrouping."""
     rng = random.Random(3)

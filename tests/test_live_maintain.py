@@ -10,12 +10,15 @@ debt model's contract: with ``auto_remerge`` on, no cluster's error debt
 ever exceeds ``debt_threshold`` once an edit has been reconciled.
 """
 
+import copy
+import heapq
 import math
 import random
 
 import pytest
 
 from repro import obs
+from repro.core.build import TreeSketchBuilder
 from repro.core.estimate import estimate_selectivity
 from repro.core.evaluate import eval_query
 from repro.core.live import (
@@ -26,17 +29,18 @@ from repro.core.live import (
 )
 from repro.core.stable import build_stable
 from repro.core.treesketch import TreeSketch
-from repro.datagen import sprot_like
+from repro.datagen import sprot_like, xmark_like
 from repro.engine.exact import ExactEvaluator
 from repro.query.parser import parse_twig
 from repro.workload.mutations import (
     MutationOp,
+    _random_spec,
     apply_mutation,
     dump_ops,
     load_ops,
     make_mutation_workload,
 )
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import XMLTree, build_nested
 from tests.conftest import preorder_labeled
 
 
@@ -183,6 +187,81 @@ class TestReplayOracle:
         assert _label_counts(maintainer.tree).get("extra", 0) == 0
 
 
+def _pairwise_region_drain(part, region, budget_bytes):
+    """A local re-merge written out on its own: score every same-label
+    pair of the region up front, then drain, applying merges until under
+    budget and then while the best candidate's ratio is <= 0.  The oracle
+    ``merge_region`` must match; returns the merges applied."""
+    version = part.version
+    by_label = {}
+    for u in sorted(region):
+        by_label.setdefault(part.cluster_label[u], []).append(u)
+    heap = []
+    for group in by_label.values():
+        for i, u in enumerate(group):
+            for v in group[i + 1:]:
+                ratio, errd, sized = part.scored_merge(u, v)
+                if sized > 0:
+                    heap.append((ratio, errd, sized, u, v,
+                                 version.get(u, 0), version.get(v, 0)))
+    heapq.heapify(heap)
+    merged_into, merges = {}, []
+    while heap and (part.size_bytes() > budget_bytes or heap[0][0] <= 0):
+        _ratio, _errd, _sized, u, v, ver_u, ver_v = heapq.heappop(heap)
+        while u in merged_into:
+            u = merged_into[u]
+        while v in merged_into:
+            v = merged_into[v]
+        if u == v:
+            continue
+        cur_u, cur_v = version.get(u, 0), version.get(v, 0)
+        if (ver_u, ver_v) != (cur_u, cur_v):
+            ratio, errd, sized = part.scored_merge(u, v)
+            if sized > 0:
+                heapq.heappush(heap, (ratio, errd, sized, u, v, cur_u, cur_v))
+            continue
+        part.apply_merge(u, v)
+        merged_into[v] = u
+        merges.append((u, v))
+    return merges
+
+
+class TestLocalRemerge:
+    def test_merge_region_matches_a_pairwise_region_drain(self, monkeypatch):
+        """Every local re-merge (CREATEPOOL over the region, TSBUILD's
+        drain, free merges under budget) applies the merges, in order,
+        that the pairwise region drain applies to a copy of the same
+        state."""
+        original = TreeSketchBuilder.merge_region
+        checked = []
+
+        def compared(builder, region, budget_bytes):
+            part = builder.partition
+            expected = _pairwise_region_drain(
+                copy.deepcopy(part), region, budget_bytes)
+            applied = []
+            apply = part.apply_merge
+            part.apply_merge = lambda u, v: applied.append((u, v)) or apply(u, v)
+            try:
+                original(builder, region, budget_bytes)
+            finally:
+                del part.apply_merge
+            assert applied == expected
+            checked.append(len(applied))
+
+        monkeypatch.setattr(TreeSketchBuilder, "merge_region", compared)
+        # This stream meets ratio-0 candidates under budget, so the stop
+        # rule, not only the budget, ends some of its drains.
+        tree = xmark_like(scale=0.05, seed=4)
+        maintainer = SketchMaintainer(
+            tree, _budget_for(tree, 0.6),
+            options=LiveOptions(debt_threshold=2.0))
+        for op in make_mutation_workload(tree, num_ops=40, seed=2):
+            apply_mutation(maintainer, op)
+        assert len(checked) == maintainer.remerges > 0
+        assert sum(checked) == maintainer.remerge_merges > 0
+
+
 class TestEstimateEquivalence:
     def test_snapshot_estimates_match_replayed_partition(self):
         """Estimates are a pure function of the partition tables, so the
@@ -252,7 +331,8 @@ class TestDebtModel:
         re-merges still attend the region and settle its debt, and the
         live tables stay exact -- the cap only defers accuracy recovery
         (a giant drifted cluster waits for ``remerge(full=True)``
-        instead of exploding the quadratic region drain)."""
+        instead of exploding the re-merge's pool, which scores every
+        same-label pair of the region)."""
         tree = _document()
         options = LiveOptions(debt_threshold=2.0, max_dissolve=0)
         maintainer = SketchMaintainer(
@@ -286,6 +366,33 @@ class TestDebtModel:
         assert flat.get("counters.live.routed", 0) == maintainer.routed
 
 
+def _relisting_workload(tree, num_ops, seed, insert_fraction,
+                        max_subtree_nodes):
+    """The generator as it was, listing the whole shadow document on
+    every op: the oracle its ops must match."""
+    rng = random.Random(seed)
+    shadow = tree.copy()
+    labels = shadow.labels
+    ops = []
+    for _ in range(num_ops):
+        nodes = list(shadow.root.iter_preorder())
+        if rng.random() >= insert_fraction and len(nodes) > 1:
+            target = rng.choice(nodes[1:])
+            ops.append(MutationOp(action="delete_subtree", label=target.label,
+                                  ordinal=shadow.ordinal_of(target)))
+            shadow.delete_subtree(target)
+        else:
+            parent = rng.choice(nodes)
+            spec = _random_spec(rng, labels,
+                                rng.randint(1, max_subtree_nodes))
+            ops.append(MutationOp(action="insert_subtree",
+                                  parent_label=parent.label,
+                                  parent_ordinal=shadow.ordinal_of(parent),
+                                  subtree=spec))
+            shadow.insert_subtree(parent, build_nested(spec))
+    return ops
+
+
 class TestMutationWorkload:
     def test_script_round_trip(self):
         tree = _document()
@@ -305,6 +412,18 @@ class TestMutationWorkload:
         maintainer.check()
         assert all(op.label != tree.root.label or op.ordinal != 0
                    for op in ops if op.action == "delete_subtree")
+
+    @pytest.mark.parametrize("insert_fraction", [0.2, 0.5, 0.9])
+    def test_generator_matches_relisting_oracle(self, insert_fraction):
+        """The generator keeps its shadow document's pre-order current
+        through each edit instead of re-listing it per op; the ops are
+        byte-identical to the re-listing version's."""
+        tree = _document()
+        for seed in (0, 1, 7, 13):
+            ops = make_mutation_workload(
+                tree, num_ops=60, seed=seed, insert_fraction=insert_fraction)
+            assert dump_ops(ops) == dump_ops(_relisting_workload(
+                tree, 60, seed, insert_fraction, 6))
 
     def test_generator_leaves_input_untouched(self):
         tree = _document()

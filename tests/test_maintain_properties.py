@@ -134,17 +134,23 @@ def test_label_index_matches_preorder_scan(script):
         if roll < 0.2:
             index = {label: tree.nodes_with_label(label)
                      for label in tree.labels}
+            other = XMLTree.from_nested(("r", ["a", ("b", ["c"])]))
+            other_nodes = list(other.root.iter_preorder())
             with pytest.raises(ValueError):
                 if roll < 0.1:
                     maintainer.delete_subtree(tree.root)
-                elif roll < 0.15:  # the root is tracked, not attached
+                elif roll < 0.13:  # the root is tracked, not attached
                     maintainer.insert_subtree(rng.choice(current), tree.root)
-                else:  # an attached node
+                elif roll < 0.16:  # an attached node
                     maintainer.insert_subtree(rng.choice(current),
                                               rng.choice(current))
+                else:  # a parent in another document
+                    maintainer.insert_subtree(rng.choice(other_nodes),
+                                              _spec(rng, 1))
             assert list(tree.root.iter_preorder()) == current
             assert {label: tree.nodes_with_label(label)
                     for label in tree.labels} == index
+            assert list(other.root.iter_preorder()) == other_nodes
         elif roll < 0.65 or len(current) < 3:
             parent = rng.choice(current)
             maintainer.insert_subtree(parent, _spec(rng, rng.randint(0, 2)))

@@ -27,6 +27,7 @@ from repro.datagen.datasets import TX_DATASETS, sprot_like
 from repro.serve.client import ServeClient
 from repro.serve.registry import SketchRegistry
 from repro.serve.server import ServeConfig, start_server_thread
+from repro.workload.mutations import apply_mutation, make_mutation_workload
 from repro.workload.runner import run_selectivity
 from repro.workload.workload import make_workload
 from repro.xmltree.node import XMLNode
@@ -141,6 +142,45 @@ def test_live_update_visits_only_the_edited_subtree(live_entry, monkeypatch,
                             _counting(getattr(XMLNode, name), yielded))
     live_entry.update(action, **fields)
     assert 0 < yielded[0] <= 4 * edited, (yielded[0], edited)
+
+
+# --------------------------------------------------------------------------
+# Live re-merges: TSBUILD's own drain, counted in the tsbuild.* counters.
+# --------------------------------------------------------------------------
+
+# Measured on sprot_like scale 0.7, seed 13 (7,692 elements) at 4 KB, 60
+# ops from seed 1: 10 local re-merges, 854 heap pops, 588 stale
+# recomputations, 88 merges.
+REMERGE_CEILINGS = {
+    "tsbuild.heap_pops": 1_070,
+    "tsbuild.stale_recomputations": 735,
+}
+
+
+def test_live_remerges_run_the_tsbuild_drain():
+    """Every merge a local re-merge applies goes through
+    ``TreeSketchBuilder._drain_heap``, so the ``tsbuild.*`` counters see
+    the re-merges' work.  Deltas are taken after construction, whose
+    initial ``compress_to`` counts there too; the maintainer is built
+    inside ``observed()`` because it binds its ``live.*`` instruments at
+    construction."""
+    tree = sprot_like(scale=0.7, seed=13)
+    ops = make_mutation_workload(tree, num_ops=60, seed=1)
+    names = ["tsbuild.merges_applied", *sorted(REMERGE_CEILINGS)]
+    with obs.observed() as registry:
+        maintainer = SketchMaintainer(tree, 4 * 1024)
+        before = {name: registry.counter(name).value for name in names}
+        for op in ops:
+            apply_mutation(maintainer, op)
+        delta = {name: registry.counter(name).value - before[name]
+                 for name in names}
+        remerge_merges = registry.counter("live.remerge_merges").value
+    assert maintainer.remerges > 0 and remerge_merges > 0
+    assert delta["tsbuild.merges_applied"] == remerge_merges
+    for name, ceiling in REMERGE_CEILINGS.items():
+        assert delta[name] <= ceiling, (
+            f"{name} = {delta[name]} over {maintainer.remerges} local "
+            f"re-merges exceeds its perf budget {ceiling}")
 
 
 # --------------------------------------------------------------------------

@@ -166,3 +166,35 @@ class TestEdits:
         position = list(tree.root.iter_preorder()).index(node)
         twin = list(fresh.root.iter_preorder())[position]
         assert answer == FIRST_READS[read](fresh, twin)
+
+    @pytest.mark.parametrize("call", ["insert_subtree", "delete_subtree",
+                                      "ordinal_of"])
+    @pytest.mark.parametrize("shared_label", [False, True])
+    def test_a_node_of_another_document_is_rejected(self, call,
+                                                    shared_label):
+        """An edit or lookup naming another document's node raises
+        ValueError and leaves both documents and their label and oid
+        indexes as they were, whether or not this document has the
+        node's label."""
+        mine = XMLTree.from_nested(("r", ["a", ("b", ["a"])]))
+        theirs = XMLTree.from_nested(("s", ["a" if shared_label else "x"]))
+
+        def state(tree):
+            return ([(n.label, [c.label for c in n.children])
+                     for n in tree.root.iter_preorder()],
+                    {label: tree.nodes_with_label(label)
+                     for label in tree.labels},
+                    [(n.oid, tree.subtree_size(n), tree.level(n))
+                     for n in tree],
+                    {label: tree.oids_with_label(label)
+                     for label in tree.labels})
+
+        before = state(mine), state(theirs)
+        foreign = theirs.root.children[0]
+        with pytest.raises(ValueError, match="not in this document"):
+            if call == "insert_subtree":
+                mine.insert_subtree(foreign, build_nested(("q", ["a"])))
+            else:
+                getattr(mine, call)(foreign)
+        assert (state(mine), state(theirs)) == before
+        assert foreign.parent is theirs.root and not foreign.children
