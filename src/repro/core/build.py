@@ -14,14 +14,13 @@ re-merges run the same CREATEPOOL and drain over one cluster region
 Heap entries are ordered by the *canonical* tuple ``(ratio, errd, sized,
 u, v, ver_u, ver_v)`` -- no insertion-order tiebreak -- so the merge
 sequence is a function of the candidate *set* alone.  That is what lets
-the incremental pool generator (repro.core.pool), which may produce
+the optimized pool generator (repro.core.pool), which may produce
 candidates in a different order, build byte-identical sketches;
 tests/test_build_equivalence.py holds it to that.
 
 Every non-reference build scores through the partition's versioned merge
-memo and keeps a :class:`~repro.core.pool.PoolState` across pool
-regenerations (docs/PERFORMANCE.md); ``reference=True`` restores the seed
-code paths end to end and serves as the benchmark baseline.
+memo (docs/PERFORMANCE.md); ``reference=True`` restores the seed code
+paths end to end and serves as the benchmark baseline.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Union
 
 from repro.core.kernel import KernelPartition
 from repro.core.partition import MergePartition
-from repro.core.pool import PoolState, create_pool, create_pool_reference
+from repro.core.pool import create_pool, create_pool_reference
 from repro.core.stable import StableSummary, build_stable
 from repro.core.treesketch import TreeSketch
 from repro.obs import get_metrics, get_tracer
@@ -75,9 +74,13 @@ class TSBuildOptions:
     whenever the summary has dense ids (always true for ``build_stable``
     output), falling back to dicts for sparse ids.
 
-    ``reference`` runs the seed scorer and from-scratch CREATEPOOL
-    verbatim, without the merge memo or pool state (benchmark baseline
-    and equivalence oracle; implies the dict-backed partition).
+    ``reference`` runs the seed scorer and CREATEPOOL verbatim, without
+    the merge memo (benchmark baseline and equivalence oracle; implies the
+    dict-backed partition).
+
+    Values that would crash or silently stop a build raise ValueError
+    here: ``heap_upper < 1``, ``heap_lower < 0``, ``drain_fraction``
+    outside ``[0, 1)``, ``pair_window < 1`` and an unknown ``kernel``.
     """
 
     heap_upper: int = 10_000
@@ -87,6 +90,23 @@ class TSBuildOptions:
     stop_when_full: bool = False
     kernel: str = "auto"
     reference: bool = False
+
+    def __post_init__(self) -> None:
+        if self.heap_upper < 1:
+            raise ValueError(f"heap_upper must be >= 1, got {self.heap_upper!r}")
+        if self.heap_lower < 0:
+            raise ValueError(f"heap_lower must be >= 0, got {self.heap_lower!r}")
+        if not 0.0 <= self.drain_fraction < 1.0:
+            raise ValueError(
+                f"drain_fraction must be in [0, 1), got {self.drain_fraction!r}")
+        if self.pair_window is not None and self.pair_window < 1:
+            raise ValueError(
+                f"pair_window must be None or >= 1, got {self.pair_window!r}")
+        if self.kernel not in ("auto", "arrays", "dicts"):
+            raise ValueError(
+                f"unknown kernel {self.kernel!r} "
+                "(expected 'arrays', 'dicts' or 'auto')"
+            )
 
 
 class TreeSketchBuilder:
@@ -117,7 +137,6 @@ class TreeSketchBuilder:
         self.reached_budget = False
         # Forwarding chains for clusters absorbed by merges.
         self._merged_into: Dict[int, int] = {}
-        self._pool_state: Optional[PoolState] = None
         if not self.options.reference:
             self.partition.enable_memo()
 
@@ -125,11 +144,6 @@ class TreeSketchBuilder:
         """Instantiate the partition backend selected by ``options.kernel``."""
         opts = self.options
         kernel = opts.kernel
-        if kernel not in ("auto", "arrays", "dicts"):
-            raise ValueError(
-                f"unknown kernel {kernel!r} "
-                "(expected 'arrays', 'dicts' or 'auto')"
-            )
         if opts.reference or kernel == "dicts":
             # The reference path scores through evaluate_merge_reference,
             # which lives on the dict-backed partition.
@@ -166,33 +180,10 @@ class TreeSketchBuilder:
 
     def _generate_pool(self, part):
         opts = self.options
-        if opts.reference:
-            return create_pool_reference(
-                part, opts.heap_upper, opts.pair_window, opts.stop_when_full
-            )
-        if self._pool_state is None:
-            self._pool_state = PoolState(part)
-        return create_pool(
-            part, opts.heap_upper, opts.pair_window, opts.stop_when_full,
-            state=self._pool_state,
+        generate = create_pool_reference if opts.reference else create_pool
+        return generate(
+            part, opts.heap_upper, opts.pair_window, opts.stop_when_full
         )
-
-    def _apply_merge(self, part, u: int, v: int) -> None:
-        """Apply one merge and keep the incremental pool state in step."""
-        state = self._pool_state
-        if state is not None:
-            label_u = part.cluster_label[u]
-            label_v = part.cluster_label[v]
-            depth_u = part.cluster_depth[u]
-            depth_v = part.cluster_depth[v]
-            part.apply_merge(u, v)
-            state.on_merge(
-                label_u, label_v, u, v, depth_u, depth_v, part.cluster_depth[u]
-            )
-        else:
-            part.apply_merge(u, v)
-        self._merged_into[v] = u
-        self.merges_applied += 1
 
     def compress_to(self, budget_bytes: int) -> TreeSketch:
         """Merge until ``size <= budget_bytes`` (or no merges remain).
@@ -216,9 +207,6 @@ class TreeSketchBuilder:
             metrics.counter("tsbuild.kernel_arrays").inc()
         else:
             metrics.counter("tsbuild.kernel_dicts").inc()
-        state = self._pool_state
-        skey_hits_before = state.key_hits if state is not None else 0
-        skey_recomputes_before = state.key_recomputes if state is not None else 0
         # The merge loop allocates millions of short-lived tuples and never
         # creates reference cycles, so cyclic GC passes are pure overhead
         # (~15-20% on large builds); suspend collection for the duration.
@@ -232,14 +220,6 @@ class TreeSketchBuilder:
                 gc.enable()
         memo_hits.inc(part.memo_hits - hits_before)
         memo_misses.inc(part.memo_misses - misses_before)
-        state = self._pool_state
-        if state is not None:
-            metrics.counter("tsbuild.skey_cache_hits").inc(
-                state.key_hits - skey_hits_before
-            )
-            metrics.counter("tsbuild.skey_recomputes").inc(
-                state.key_recomputes - skey_recomputes_before
-            )
         logger.info(
             "tsbuild: %d bytes (budget %d), %d nodes, sq %.1f, %d merges total",
             part.size_bytes(), budget_bytes, part.num_nodes,
@@ -300,7 +280,7 @@ class TreeSketchBuilder:
         version = part.version
         heap = [(ratio, errd, sized, u, v, version.get(u, 0), version.get(v, 0))
                 for ratio, errd, sized, u, v in create_pool(
-                    part, len(region) ** 2, None, state=PoolState(part, region))]
+                    part, len(region) ** 2, None, clusters=region)]
         heapq.heapify(heap)
         self._drain_heap(heap, budget_bytes, 0, free_merges=True)
         metrics = get_metrics()
@@ -348,9 +328,11 @@ class TreeSketchBuilder:
                     continue  # non-improving by definition: drop it
                 heappush(heap, (ratio, errd, sized, u, v, cur_u, cur_v))
                 continue
-            self._apply_merge(part, u, v)
+            part.apply_merge(u, v)
+            merged_into[v] = u
             size = part.size_bytes()
             applied += 1
+        self.merges_applied += applied
         metrics = get_metrics()
         metrics.counter("tsbuild.heap_pops").inc(pops)
         metrics.counter("tsbuild.stale_recomputations").inc(stale)

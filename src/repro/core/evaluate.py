@@ -87,9 +87,6 @@ class _SketchEvalContext:
     def __init__(self, sketch: TreeSketch) -> None:
         self.sketch = sketch
         self.topo = sketch.topological_order()
-        self.topo_pos = (
-            {nid: i for i, nid in enumerate(self.topo)} if self.topo else None
-        )
         # (node id, id(path)) -> {terminal node id -> expected count}
         self.path_counts: Dict[Tuple[int, int], Dict[int, float]] = {}
         # (node id, id(path)) -> branch selectivity in [0, 1]

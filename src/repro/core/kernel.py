@@ -36,11 +36,10 @@ Two structures deliberately stay as Python objects:
   hash-table artifact of its operation history -- the only way to
   reproduce the reference accumulation order bit-for-bit is to perform
   the identical set operations;
-* ``version`` / ``struct_version`` / ``cluster_label`` / ``cluster_depth``
-  remain dicts: they are the external contract that
-  :mod:`repro.core.build` and :mod:`repro.core.pool` share across both
-  partition implementations (heap staleness stamps, memo keys, pool
-  grouping).
+* ``version`` / ``cluster_label`` / ``cluster_depth`` remain dicts: they
+  are the external contract that :mod:`repro.core.build` and
+  :mod:`repro.core.pool` share across both partition implementations
+  (heap staleness stamps, memo keys, pool grouping).
 
 Hot reads use CPython lists rather than ``array``/numpy buffers: an
 ``array('d')`` element access boxes a fresh float object on every read,
@@ -166,10 +165,8 @@ class KernelPartition:
 
         # Version stamps (external contract shared with the dict path):
         # ``version`` bumps on every state change touching a cluster's
-        # score inputs; ``struct_version`` only on child-side changes
-        # (own dims / count), the part the pool's structural key reads.
+        # score inputs.
         self.version: Dict[int, int] = {nid: 0 for nid in ids}
-        self.struct_version: Dict[int, int] = {nid: 0 for nid in ids}
 
         # Versioned memo of merge scores (see enable_memo).
         self.merge_memo: Optional[
@@ -608,7 +605,6 @@ class KernelPartition:
                 p_sq[p] = t * k
                 p_order.append(p)
         version = self.version
-        struct_version = self.struct_version
         base_u = u * n
         base_v = v * n
         for p in p_order:
@@ -639,16 +635,10 @@ class KernelPartition:
             self.total_sq += new_sq - old_sq
             self.num_edges += 1 - old_dims
             version[p] = version.get(p, 0) + 1
-            struct_version[p] = struct_version.get(p, 0) + 1
 
         # 5. Invalidate heap entries touching u, its parents, its children.
-        # Children get a full-version bump only: their own (child-side)
-        # state is untouched, so their structural key -- which reads
-        # struct_version -- stays cached.
         version[u] = version.get(u, 0) + 1
-        struct_version[u] = struct_version.get(u, 0) + 1
         version.pop(v, None)
-        struct_version.pop(v, None)
         for slot in new_slots:
             child = stat_tgt[slot]
             if child != u:
@@ -761,7 +751,6 @@ class KernelPartition:
                 assert abs(a - sa) < 1e-6 and abs(b - sb) < 1e-6
         # Version stamps cover exactly the live clusters.
         assert set(self.version) == set(self.members)
-        assert set(self.struct_version) == set(self.members)
         # Bulk audit of the CSR buffers (bounds / positivity).
         assert all(length >= 0 for length in self._gs_len)
         assert all(0 <= col < n for col in self._gs_col)

@@ -26,14 +26,13 @@ ever rebuilding from scratch.  Two layers:
 :class:`SketchMaintainer`
     The subsystem facade: owns a :class:`~repro.core.maintain.StableMaintainer`
     (document + evolving summary), drains its per-edit class deltas,
-    routes newborn classes into existing clusters via a
-    ``struct_version``-backed structural-key cache (singleton fallback on
-    miss), tracks per-cluster **error debt** (absolute squared-error drift
-    accumulated per mutation), and triggers **bounded local re-merges** --
-    TSBUILD's CREATEPOOL and heap drain over only the debt-crossing
-    clusters and their neighbours -- when debt crosses the configured
-    threshold or the synopsis outgrows its budget.  Local and full
-    (``remerge(full=True)``) passes both run
+    routes newborn classes into structurally close existing clusters
+    (singleton fallback on miss), tracks per-cluster **error debt**
+    (absolute squared-error drift accumulated per mutation), and triggers
+    **bounded local re-merges** -- TSBUILD's CREATEPOOL and heap drain
+    over only the debt-crossing clusters and their neighbours -- when
+    debt crosses the configured threshold or the synopsis outgrows its
+    budget.  Local and full (``remerge(full=True)``) passes both run
     :class:`~repro.core.build.TreeSketchBuilder` on the live partition.
 
 Cost per edit: O(affected classes x their degree) dictionary work plus an
@@ -49,7 +48,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.build import TreeSketchBuilder, TSBuildOptions
+from repro.core.build import TreeSketchBuilder
 from repro.core.maintain import StableMaintainer
 from repro.core.partition import MergePartition
 from repro.core.treesketch import TreeSketch
@@ -123,11 +122,11 @@ class LivePartition(MergePartition):
         }
         self.live_root_class: int = stable.root_id
         self.live_doc_height: int = stable.doc_height
-        # Version stamps last held by ids that left the partition, so a
+        # Version stamp last held by each id that left the partition, so a
         # resurrected id (class reborn as a singleton, or a member re-made
         # a cluster by dissolve) restarts *above* its old stamps and the
         # versioned merge memo / heap entries can never go stale-valid.
-        self._stamp_floor: Dict[int, Tuple[int, int]] = {}
+        self._stamp_floor: Dict[int, int] = {}
         # Batch state for begin_batch/end_batch reconciliation.
         self._dirty: Set[int] = set()
         self._version_only: Set[int] = set()
@@ -147,21 +146,15 @@ class LivePartition(MergePartition):
 
     def apply_merge(self, u: int, v: int) -> int:
         ver = self.version.get(v, 0)
-        sver = self.struct_version.get(v, 0)
         merged = super().apply_merge(u, v)
-        self._note_floor(v, ver, sver)
+        self._note_floor(v, ver)
         return merged
 
-    def _note_floor(self, cid: int, version: int, struct_version: int) -> None:
-        prev = self._stamp_floor.get(cid, (0, 0))
-        self._stamp_floor[cid] = (
-            max(prev[0], version), max(prev[1], struct_version)
-        )
+    def _note_floor(self, cid: int, version: int) -> None:
+        self._stamp_floor[cid] = max(self._stamp_floor.get(cid, 0), version)
 
     def _resurrect(self, cid: int) -> None:
-        floor_v, floor_sv = self._stamp_floor.pop(cid, (0, 0))
-        self.version[cid] = floor_v + 1
-        self.struct_version[cid] = floor_sv + 1
+        self.version[cid] = self._stamp_floor.pop(cid, 0) + 1
 
     # ------------------------------------------------------------------
     # Batch reconciliation of stable-summary deltas
@@ -197,11 +190,9 @@ class LivePartition(MergePartition):
             self.cluster_sq[u] = new_sq
             self.total_sq += new_sq - old_sq
             drift[u] = abs(new_sq - old_sq)
-            # Same discipline as apply_merge: the changed cluster bumps
-            # both stamps; its children (scores read the parent side)
-            # bump the full version only.
+            # Same discipline as apply_merge: the changed cluster and its
+            # children (scores read the parent side) bump their versions.
             self.version[u] = self.version.get(u, 0) + 1
-            self.struct_version[u] = self.struct_version.get(u, 0) + 1
             for child in out:
                 if child != u:
                     self.version[child] = self.version.get(child, 0) + 1
@@ -331,9 +322,7 @@ class LivePartition(MergePartition):
         # (class-DAG edges go from larger to smaller ids, and deaths are
         # processed in descending id order).
         assert not sources, f"dead cluster {owner} still has sources {sources}"
-        ver = self.version.pop(owner, 0)
-        sver = self.struct_version.pop(owner, 0)
-        self._note_floor(owner, ver, sver)
+        self._note_floor(owner, self.version.pop(owner, 0))
         self._dirty.discard(owner)
 
     # ------------------------------------------------------------------
@@ -358,9 +347,7 @@ class LivePartition(MergePartition):
         del self.cluster_label[u]
         del self.cluster_depth[u]
         sources = self.in_sources.pop(u)
-        ver = self.version.pop(u, 0)
-        sver = self.struct_version.pop(u, 0)
-        self._note_floor(u, ver, sver)
+        self._note_floor(u, self.version.pop(u, 0))
 
         for m in members:
             self.assign[m] = m
@@ -423,7 +410,6 @@ class LivePartition(MergePartition):
             self.cluster_sq[p] += new_dim_sq - old_dim_sq
             self.total_sq += new_dim_sq - old_dim_sq
             self.version[p] = self.version.get(p, 0) + 1
-            self.struct_version[p] = self.struct_version.get(p, 0) + 1
 
         # Former siblings-through-u: targets of the old cluster keep their
         # dims but their parent set changed composition.
@@ -565,18 +551,14 @@ class SketchMaintainer:
         tree: XMLTree,
         budget_bytes: int,
         options: Optional[LiveOptions] = None,
-        build_options: Optional[TSBuildOptions] = None,
     ) -> None:
         self.options = options or LiveOptions()
-        self.build_options = build_options or TSBuildOptions()
         self.budget_bytes = budget_bytes
         self.stable = StableMaintainer(tree)
-        self._seed_summary = self.stable.summary()
-        self.partition = LivePartition(self._seed_summary)
-        builder = TreeSketchBuilder(
-            self._seed_summary, self.build_options, partition=self.partition
-        )
-        builder.compress_to(budget_bytes)
+        self.partition = LivePartition(self.stable.summary())
+        TreeSketchBuilder(
+            self.partition.stable, partition=self.partition
+        ).compress_to(budget_bytes)
         self.stable.track_deltas()
 
         self.debt: Dict[int, float] = {}
@@ -585,13 +567,9 @@ class SketchMaintainer:
         self.remerge_merges = 0
         self.routed = 0
         self.singletons = 0
-        self.key_hits = 0
-        self.key_recomputes = 0
         # Clusters touched since the last re-merge (oversize-trigger seeds).
         self._touched: Set[int] = set()
-        # struct_version-backed structural-key cache for routing, plus a
-        # lazily (re)built (label, depth) -> cluster ids index.
-        self._skey_cache: Dict[int, Tuple[int, Tuple[float, float, int]]] = {}
+        # Lazily (re)built (label, depth) -> cluster ids index for routing.
         self._label_index: Optional[Dict[Tuple[str, int], List[int]]] = None
 
         # Optional drift-adaptive debt_threshold loop (enable_adaptive).
@@ -727,20 +705,8 @@ class SketchMaintainer:
                 counts.setdefault(new_cid, Counter())[value] += 1
 
     # ------------------------------------------------------------------
-    # Routing (structural-key cache, struct_version-backed)
+    # Routing
     # ------------------------------------------------------------------
-
-    def _cluster_key(self, cid: int) -> Tuple[float, float, int]:
-        part = self.partition
-        stamp = part.struct_version.get(cid, 0)
-        cached = self._skey_cache.get(cid)
-        if cached is not None and cached[0] == stamp:
-            self.key_hits += 1
-            return cached[1]
-        self.key_recomputes += 1
-        key = part.structural_key(cid)
-        self._skey_cache[cid] = (stamp, key)
-        return key
 
     def _ensure_index(self) -> Dict[Tuple[str, int], List[int]]:
         index = self._label_index
@@ -781,7 +747,7 @@ class SketchMaintainer:
             scanned += 1
             if scanned > 32:
                 break
-            key_degree, key_total, _count = self._cluster_key(cid)
+            key_degree, key_total, _count = part.structural_key(cid)
             if abs(degree - key_degree) > 1:
                 continue
             gap = abs(total - key_total)
@@ -853,11 +819,9 @@ class SketchMaintainer:
         with get_tracer().span(
             "live.remerge", seeds=len(crossing), full=full
         ) as span:
-            # A fresh builder per re-merge: its forwarding map and pool
-            # state must not outlive births, deaths or dissolves.
-            builder = TreeSketchBuilder(
-                self._seed_summary, self.build_options, partition=part
-            )
+            # A fresh builder per re-merge: its forwarding map must not
+            # outlive births, deaths or dissolves.
+            builder = TreeSketchBuilder(part.stable, partition=part)
             if full:
                 builder.compress_to(self.budget_bytes)
                 self.debt.clear()

@@ -118,16 +118,11 @@ class MergePartition:
 
         self.num_edges: int = stable.num_edges
         self.total_sq: float = 0.0
-        # Version stamps for lazy heap invalidation.  ``version`` bumps on
+        # Version stamps for lazy heap invalidation: ``version`` bumps on
         # *every* change that can move a cluster's merge score (its own
-        # state, a parent's dims, a parent's count); ``struct_version``
-        # bumps only on child-side changes -- the cluster's own dims or
-        # count.  Merge scores read both sides, so the memo and the heap
-        # key on ``version``; CREATEPOOL's structural key reads only the
-        # child side, so its cache keys on ``struct_version`` and
-        # survives parent-only updates (see docs/PERFORMANCE.md).
+        # state, a parent's dims, a parent's count); the memo and the heap
+        # key on it (see docs/PERFORMANCE.md).
         self.version: Dict[int, int] = {nid: 0 for nid in stable.node_ids()}
-        self.struct_version: Dict[int, int] = {nid: 0 for nid in stable.node_ids()}
         # Optional versioned memo of merge scores (see enable_memo).
         self.merge_memo: Optional[Dict[Tuple[int, int], Tuple[int, int, float, float, int]]] = None
         self.memo_hits: int = 0
@@ -493,16 +488,10 @@ class MergePartition:
             self.total_sq += new_sq - old_sq
             self.num_edges += 1 - old_dims
             self.version[p] = self.version.get(p, 0) + 1
-            self.struct_version[p] = self.struct_version.get(p, 0) + 1
 
         # 5. Invalidate heap entries touching u, its parents, its children.
-        # Children get a full-version bump only: their own dims and count
-        # are untouched (the change is on their parent's side), so their
-        # structural key stays valid under ``struct_version``.
         self.version[u] = self.version.get(u, 0) + 1
-        self.struct_version[u] = self.struct_version.get(u, 0) + 1
         self.version.pop(v, None)
-        self.struct_version.pop(v, None)
         for child in self.out_stats[u]:
             if child != u:
                 self.version[child] = self.version.get(child, 0) + 1

@@ -14,11 +14,10 @@ with a locality window: group members are sorted by a cheap structural key
 with its ``pair_window`` nearest neighbours.  ``pair_window=None`` restores
 the exhaustive behaviour (see DESIGN.md).
 
-Performance machinery (docs/PERFORMANCE.md):
+TSBUILD calls CREATEPOOL afresh whenever its heap drains (Fig. 5), and
+each call groups the partition it is given from scratch: nothing outlives
+a call.  Performance machinery (docs/PERFORMANCE.md):
 
-* :class:`PoolState` persists the label/depth grouping and the structural-
-  key cache across pool regenerations, so a regeneration no longer rebuilds
-  both from scratch;
 * within one call, each label's partner list (and its key-sorted variant)
   is accumulated level by level with linear merges instead of the seed's
   per-level re-sort;
@@ -44,19 +43,13 @@ from repro.core.partition import MergePartition
 PoolEntry = Tuple[float, float, int, int, int]
 
 
-def _structural_key(partition, cid: int) -> Tuple[float, float, int]:
-    # Dispatches to the partition implementation (dict-backed
-    # MergePartition or the flat-array KernelPartition) -- both compute
-    # the identical floats.
-    return partition.structural_key(cid)
-
-
 class _BoundedBest:
     """Keeps the ``limit`` entries with the smallest ratio.
 
     Selection is a top-``limit`` under the *total* order of the (negated)
     entry tuples, so the retained set does not depend on push order — the
-    property the incremental generation path relies on.
+    property that lets :func:`create_pool` push in another order than the
+    seed.
     """
 
     def __init__(self, limit: int) -> None:
@@ -78,96 +71,6 @@ class _BoundedBest:
 
     def entries(self) -> List[PoolEntry]:
         return [(-nratio, errd, sized, u, v) for nratio, errd, sized, u, v in self._heap]
-
-
-class PoolState:
-    """Incrementally maintained CREATEPOOL inputs.
-
-    Persists, across pool regenerations of one build:
-
-    * ``groups``: label -> depth -> set of live cluster ids (the grouping
-      the seed rebuilt from ``cluster_label`` on every call);
-    * ``max_depth``: an upper bound on live cluster depths (merges never
-      raise it past the initial maximum);
-    * a structural-key cache validated by the partition's version stamps.
-
-    ``clusters`` restricts it to those live cluster ids (a re-merge region).
-
-    The owning builder must report every applied merge via
-    :meth:`on_merge`; :meth:`rebuilt_groups` lets tests audit the
-    incremental state against a from-scratch rebuild.
-    """
-
-    __slots__ = ("groups", "max_depth", "_keys", "key_hits", "key_recomputes")
-
-    def __init__(self, partition,
-                 clusters: Optional[Iterable[int]] = None) -> None:
-        groups: Dict[str, Dict[int, Set[int]]] = {}
-        max_depth = 0
-        label_of = partition.cluster_label
-        depth_of = partition.cluster_depth
-        for cid in label_of if clusters is None else clusters:
-            label = label_of[cid]
-            depth = depth_of[cid]
-            groups.setdefault(label, {}).setdefault(depth, set()).add(cid)
-            if depth > max_depth:
-                max_depth = depth
-        self.groups = groups
-        self.max_depth = max_depth
-        self._keys: Dict[int, Tuple[int, Tuple[float, float, int]]] = {}
-        self.key_hits = 0
-        self.key_recomputes = 0
-
-    def structural_key(self, partition, cid: int):
-        # Cached under ``struct_version`` (child-side stamps only): a
-        # parent-only update -- the cluster's parent merged, changing
-        # count/dims *on the parent's side* -- bumps ``version`` but not
-        # ``struct_version``, and the structural key provably depends only
-        # on the cluster's own dims and count.  Keying on the full
-        # ``version`` (the pre-split behaviour) forced a recompute on
-        # every such bump.
-        version = partition.struct_version.get(cid, 0)
-        cached = self._keys.get(cid)
-        if cached is not None and cached[0] == version:
-            self.key_hits += 1
-            return cached[1]
-        self.key_recomputes += 1
-        key = _structural_key(partition, cid)
-        self._keys[cid] = (version, key)
-        return key
-
-    def on_merge(
-        self,
-        label_u: str,
-        label_v: str,
-        u: int,
-        v: int,
-        depth_u: int,
-        depth_v: int,
-        new_depth: int,
-    ) -> None:
-        """Update the grouping after ``v`` was merged into ``u``."""
-        buckets_v = self.groups.get(label_v)
-        if buckets_v is not None:
-            bucket = buckets_v.get(depth_v)
-            if bucket is not None:
-                bucket.discard(v)
-                if not bucket:
-                    del buckets_v[depth_v]
-        if new_depth != depth_u:
-            buckets_u = self.groups.get(label_u)
-            if buckets_u is not None:
-                bucket = buckets_u.get(depth_u)
-                if bucket is not None:
-                    bucket.discard(u)
-                    if not bucket:
-                        del buckets_u[depth_u]
-                buckets_u.setdefault(new_depth, set()).add(u)
-        self._keys.pop(v, None)
-
-    def rebuilt_groups(self, partition) -> Dict[str, Dict[int, Set[int]]]:
-        """A from-scratch grouping for consistency audits (tests only)."""
-        return PoolState(partition).groups
 
 
 class _LabelAccumulator:
@@ -263,7 +166,7 @@ def create_pool(
     pair_window: Optional[int] = 32,
     stop_when_full: bool = False,
     *,
-    state: Optional[PoolState] = None,
+    clusters: Optional[Iterable[int]] = None,
 ) -> List[PoolEntry]:
     """Generate up to ``heap_upper`` scored merge candidates, bottom-up.
 
@@ -276,26 +179,34 @@ def create_pool(
     pool ablation benchmark); scanning costs the same asymptotics and
     strictly improves the candidate set.
 
-    ``state`` is the :class:`PoolState` a builder keeps across
-    regenerations (a fresh one is made when omitted).  Scores are served
+    ``clusters`` restricts the pool to those live cluster ids (a re-merge
+    region); by default every live cluster takes part.  Scores are served
     from, and written to, the partition's versioned merge memo (enabled
     on first use).  The candidate set equals
     :func:`create_pool_reference`'s (property-tested in
     tests/test_build_equivalence.py).
     """
     best = _BoundedBest(heap_upper)
-    if state is None:
-        state = PoolState(partition)
 
-    def key_of(cid: int):
-        return state.structural_key(partition, cid)
+    # Group the clusters by label, then by depth.
+    groups: Dict[str, Dict[int, List[int]]] = {}
+    max_depth = 0
+    label_of = partition.cluster_label
+    depth_of = partition.cluster_depth
+    for cid in label_of if clusters is None else clusters:
+        depth = depth_of[cid]
+        groups.setdefault(label_of[cid], {}).setdefault(depth, []).append(cid)
+        if depth > max_depth:
+            max_depth = depth
 
     # Labels where any merge is possible at all.
     active = [
         (buckets, _LabelAccumulator())
-        for buckets in state.groups.values()
+        for buckets in groups.values()
         if sum(len(b) for b in buckets.values()) >= 2
     ]
+    # ``_level_pairs`` keys each cluster at most once per call.
+    key_of = partition.structural_key
 
     partition.enable_memo()
     memo = partition.merge_memo
@@ -306,12 +217,12 @@ def create_pool(
     heap = best._heap
     heappush, heapreplace = heapq.heappush, heapq.heapreplace
 
-    for level in range(state.max_depth + 1):
+    for level in range(max_depth + 1):
         for buckets, acc in active:
             news = buckets.get(level)
             if not news:
                 continue
-            pairs = _level_pairs(list(news), acc, pair_window, key_of)
+            pairs = _level_pairs(news, acc, pair_window, key_of)
             # Serve memo hits inline; only misses need scoring.
             hits = 0
             misses: List[Tuple[int, int]] = []
@@ -427,14 +338,14 @@ def _pair_up(
         return
 
     keyed = sorted(
-        (( _structural_key(partition, cid), cid) for cid in partners),
+        ((partition.structural_key(cid), cid) for cid in partners),
     )
     keys = [k for k, _ in keyed]
     order = [cid for _, cid in keyed]
     half = max(1, pair_window // 2)
     seen = set()
     for a in news:
-        pos = bisect_left(keys, _structural_key(partition, a))
+        pos = bisect_left(keys, partition.structural_key(a))
         lo = max(0, pos - half)
         hi = min(len(order), pos + half + 1)
         for b in order[lo:hi]:

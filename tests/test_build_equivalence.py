@@ -1,7 +1,7 @@
 """Equivalence proofs for the optimized TSBUILD paths (docs/PERFORMANCE.md).
 
-The perf machinery (versioned score memoization, incremental CREATEPOOL
-state, the single-pass scorer, the array kernel) must be
+The perf machinery (versioned score memoization, the single-pass scorer,
+the array kernel) must be
 *output-preserving*: every optimized builder configuration has to emit a
 sketch identical to the seed implementation -- same nodes, counts, edge
 statistics, and total squared error.  These tests are the contract that
@@ -17,7 +17,7 @@ from repro import obs
 from repro.core.build import TSBuildOptions, TreeSketchBuilder
 from repro.core.kernel import KernelPartition
 from repro.core.partition import MergePartition
-from repro.core.pool import PoolState, create_pool, create_pool_reference
+from repro.core.pool import create_pool, create_pool_reference
 from repro.core.stable import StableSummary, build_stable
 from repro.datagen.datasets import TX_DATASETS
 from tests.conftest import make_random_tree
@@ -103,8 +103,8 @@ def test_merge_sequence_identical_across_kernels(seed, budget_kb):
 
 
 def test_budget_sweep_matches_reference():
-    # Reused builders (decreasing budgets) exercise pool-state persistence
-    # across compress_to calls, not just within one.
+    # Reused builders (decreasing budgets) carry their forwarding map and
+    # merge memo across compress_to calls, not just within one.
     rng = random.Random(5)
     stable = build_stable(make_random_tree(rng, 500))
     ref_builder = TreeSketchBuilder(stable, TSBuildOptions(reference=True))
@@ -140,21 +140,51 @@ def test_fast_scorer_is_bitwise_identical(seed, size):
         pool = create_pool_reference(part, heap_upper=50, pair_window=None)
 
 
+class _Restricted:
+    """The partition ``part`` as the seed CREATEPOOL sees it when only the
+    clusters of ``region`` exist."""
+
+    def __init__(self, part, region):
+        self.cluster_label = {c: part.cluster_label[c] for c in region}
+        self.cluster_depth = part.cluster_depth
+        self.structural_key = part.structural_key
+        self.evaluate_merge_reference = part.evaluate_merge_reference
+
+
+def _merge_random_same_label_pair(part, rng):
+    """One merge straight through ``apply_merge``, no builder involved."""
+    by_label = {}
+    for cid in sorted(part.members):
+        by_label.setdefault(part.cluster_label[cid], []).append(cid)
+    groups = [g for _label, g in sorted(by_label.items()) if len(g) >= 2]
+    if groups:
+        u, v = rng.sample(rng.choice(groups), 2)
+        part.apply_merge(u, v)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_create_pool_variants_agree(seed):
-    """Fresh or persisted pool state, cold or warm memo: same candidates."""
+    """CREATEPOOL is a function of the partition it is given.  Between
+    calls a few merges go straight through ``apply_merge``; every call,
+    cold or memo-served, over all clusters or over ``clusters=``, proposes
+    the seed CREATEPOOL's candidates (restricted to those clusters)."""
     rng = random.Random(seed)
     part = MergePartition(build_stable(make_random_tree(rng, 300)))
     for pair_window in (None, 8):
-        ref = create_pool_reference(part, 60, pair_window)
-        fresh = create_pool(part, 60, pair_window)  # own state, cold memo
-        state = PoolState(part)
-        memo1 = create_pool(part, 60, pair_window, state=state)
-        memo2 = create_pool(part, 60, pair_window, state=state)
+        for _round in range(3):
+            ref = sorted(create_pool_reference(part, 60, pair_window))
+            assert sorted(create_pool(part, 60, pair_window)) == ref
+            assert sorted(create_pool(part, 60, pair_window)) == ref
+            live = sorted(part.members)
+            region = rng.sample(live, rng.randint(0, len(live)))
+            ref_region = create_pool_reference(
+                _Restricted(part, region), 60, pair_window)
+            got = create_pool(part, 60, pair_window, clusters=region)
+            assert sorted(got) == sorted(ref_region)
+            for _ in range(rng.randint(1, 3)):
+                _merge_random_same_label_pair(part, rng)
         assert part.memo_hits > 0  # later passes served from the memo
-        for other in (fresh, memo1, memo2):
-            assert sorted(other) == sorted(ref)
         part.merge_memo = None
         part.memo_hits = part.memo_misses = 0
 
@@ -167,8 +197,7 @@ def test_region_pool_is_every_improving_same_label_pair(seed, size):
     pairs ``u < v`` of R with one label and ``sized > 0``, each with the
     score ``scored_merge`` gives; the candidate set alone fixes the
     drain's pops, so a local re-merge applies the merges a drain over
-    every same-label pair of R would.  A PoolState over R is the full
-    grouping restricted to R."""
+    every same-label pair of R would."""
     rng = random.Random(seed)
     part = MergePartition(build_stable(make_random_tree(rng, size)))
     for _ in range(rng.randint(0, 6)):
@@ -179,15 +208,6 @@ def test_region_pool_is_every_improving_same_label_pair(seed, size):
         part.apply_merge(u, v)
     live = sorted(part.members)
     region = rng.sample(live, rng.randint(0, len(live)))
-    members = set(region)
-
-    restricted = {}
-    for label, buckets in PoolState(part).groups.items():
-        kept = {d: b & members for d, b in buckets.items() if b & members}
-        if kept:
-            restricted[label] = kept
-    state = PoolState(part, region)
-    assert state.groups == restricted
 
     assert part.merge_memo is None  # expected scores come from a cold scorer
     expected = {}
@@ -199,36 +219,12 @@ def test_region_pool_is_every_improving_same_label_pair(seed, size):
                     expected[(u, v)] = (ratio, errd, sized)
     uncapped = max(1, len(region) ** 2)
     for _pass in range(2):  # cold memo, then served from the memo
-        pool = create_pool(part, uncapped, None, state=state)
+        pool = create_pool(part, uncapped, None, clusters=region)
         got = {(u, v): (ratio, errd, sized)
                for ratio, errd, sized, u, v in pool}
         assert len(got) == len(pool)
         assert got == expected
     assert part.memo_hits >= len(expected)
-
-
-def test_pool_state_tracks_merges():
-    """Incrementally maintained grouping == from-scratch regrouping."""
-    rng = random.Random(3)
-    part = MergePartition(build_stable(make_random_tree(rng, 400)))
-    state = PoolState(part)
-    for _ in range(25):
-        pool = create_pool(part, 10, state=state)
-        if not pool:
-            break
-        _ratio, _errd, _sized, u, v = min(pool)
-        label_u, label_v = part.cluster_label[u], part.cluster_label[v]
-        depth_u, depth_v = part.cluster_depth[u], part.cluster_depth[v]
-        part.apply_merge(u, v)
-        state.on_merge(label_u, label_v, u, v, depth_u, depth_v,
-                       part.cluster_depth[u])
-        fresh = state.rebuilt_groups(part)
-        live = {
-            label: {d: set(b) for d, b in buckets.items() if b}
-            for label, buckets in state.groups.items()
-        }
-        live = {label: buckets for label, buckets in live.items() if buckets}
-        assert live == fresh
 
 
 @settings(max_examples=20, deadline=None)
@@ -288,7 +284,7 @@ def test_kernel_and_dicts_do_identical_work():
         return {
             k: v for k, v in flat.items()
             if k.startswith("counters.tsbuild.")
-            and "kernel" not in k and "skey" not in k
+            and "kernel" not in k
         }
 
     arrays = counters("arrays")

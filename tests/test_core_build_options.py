@@ -1,5 +1,7 @@
 """Tests for TSBUILD option knobs (drain fraction, early stop, windows)."""
 
+import random
+
 import pytest
 
 from repro.core.build import TreeSketchBuilder, TSBuildOptions, build_treesketch
@@ -106,3 +108,31 @@ class TestKernelAutoSelection:
             stable, budget, TSBuildOptions(kernel="arrays"))
         assert auto.size_bytes() == explicit.size_bytes()
         assert auto.squared_error() == explicit.squared_error()
+
+
+class TestOptionValidation:
+    """Values that used to crash a build (``heap_upper=0``: IndexError in
+    CREATEPOOL) or silently stop it (``drain_fraction=1.0``: no merge,
+    budget missed) fail where they are written."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("heap_upper", 0), ("heap_upper", -5), ("heap_lower", -1),
+        ("drain_fraction", 1.0), ("drain_fraction", 1.5),
+        ("drain_fraction", -0.5), ("drain_fraction", float("nan")),
+        ("pair_window", 0), ("pair_window", -3), ("kernel", "simd"),
+    ])
+    def test_bad_value_raises_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TSBuildOptions(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("heap_upper", 1), ("heap_lower", 0), ("drain_fraction", 0.0),
+        ("pair_window", 1), ("pair_window", None),
+    ])
+    def test_boundary_value_builds_within_budget(self, field, value):
+        stable = build_stable(make_random_tree(random.Random(1), 200))
+        assert stable.size_bytes() > 512  # the build has to merge
+        builder = TreeSketchBuilder(stable, TSBuildOptions(**{field: value}))
+        sketch = builder.compress_to(512)
+        assert builder.reached_budget
+        assert sketch.size_bytes() <= 512

@@ -201,20 +201,19 @@ class TestNonImprovingMerges:
 
     @pytest.mark.parametrize("second_pass", [False, True])
     def test_pool_skips_non_improving_candidates(self, second_pass, monkeypatch):
-        from repro.core.pool import PoolState, create_pool
+        from repro.core.pool import create_pool
 
         part = MergePartition(build_stable(make_random_tree(random.Random(1), 80)))
         assert label_pairs(part), "need at least one candidate pair"
         monkeypatch.setattr(part, "_eval_raw", lambda u, v: (1.0, 0))
+        assert create_pool(part, 100, None) == []
         if not second_pass:
-            assert create_pool(part, 100, None) == []
             return
-        state = PoolState(part)
-        assert create_pool(part, 100, None, state=state) == []
         # The memoized entries are re-served on the second pass and must
         # stay excluded there too.
-        assert create_pool(part, 100, None, state=state) == []
-        assert part.memo_hits > 0
+        hits = part.memo_hits
+        assert create_pool(part, 100, None) == []
+        assert part.memo_hits > hits
 
     def test_kernel_scored_merge_guards_sized(self, monkeypatch):
         from repro.core.kernel import KernelPartition

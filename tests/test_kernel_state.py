@@ -40,7 +40,6 @@ def assert_states_match(kern: KernelPartition, dicts: MergePartition):
     assert list(kern.cluster_label.items()) == list(dicts.cluster_label.items())
     assert kern.cluster_depth == dicts.cluster_depth
     assert kern.version == dicts.version
-    assert kern.struct_version == dicts.struct_version
     for cid in dicts.members:
         assert kern.members[cid] == dicts.members[cid]
         assert kern.count[cid] == dicts.count[cid]
@@ -177,18 +176,3 @@ def test_kernel_counter_ceiling(kernel_measured, counter):
         f"the dict path's (bit-identical) amount of work"
     )
 
-
-@pytest.mark.perf
-def test_kernel_structural_key_cache_effective(kernel_measured):
-    """struct_version-keyed caching absorbs repeat structural-key queries.
-
-    Pool regenerations are rare on IMDB-TX and most clusters change
-    between them, so the measured hit share is modest (209 hits /
-    1669 recomputes at 8 KB) -- but it must stay nonzero: a hit means a
-    cluster whose child-side state was untouched (only its parents
-    changed) skipped the key recomputation, the exact soundness boundary
-    of the version split (docs/PERFORMANCE.md).
-    """
-    hits = kernel_measured.get("counters.tsbuild.skey_cache_hits", 0)
-    recomputes = kernel_measured.get("counters.tsbuild.skey_recomputes", 0)
-    assert hits > 0, (hits, recomputes)

@@ -366,6 +366,36 @@ class TestDebtModel:
         assert flat.get("counters.live.routed", 0) == maintainer.routed
 
 
+
+class TestStampFloors:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_returning_id_restarts_above_its_old_versions(self, seed):
+        """Under a low ``debt_threshold`` clusters are merged away, die,
+        are reborn as singletons and are dissolved.  A cluster id's
+        ``version`` never falls while the id is live, and an id that comes
+        back holds a version strictly above every version it held before;
+        otherwise a merge-memo or heap entry stamped before it left would
+        read as fresh."""
+        tree = sprot_like(scale=0.6, seed=seed)
+        maintainer = SketchMaintainer(
+            tree, 3 * 1024, options=LiveOptions(debt_threshold=2.0))
+        version = maintainer.partition.version
+        highest = dict(version)
+        live = set(version)
+        returned = 0
+        for op in make_mutation_workload(tree, num_ops=80, seed=seed):
+            apply_mutation(maintainer, op)
+            for cid, ver in version.items():
+                if cid in live:
+                    assert ver >= highest[cid], (cid, ver, highest[cid])
+                elif cid in highest:
+                    returned += 1
+                    assert ver > highest[cid], (cid, ver, highest[cid])
+                highest[cid] = max(ver, highest.get(cid, ver))
+            live = set(version)
+        assert returned > 0, "no id came back; the test is vacuous"
+
+
 def _relisting_workload(tree, num_ops, seed, insert_fraction,
                         max_subtree_nodes):
     """The generator as it was, listing the whole shadow document on
