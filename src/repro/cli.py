@@ -696,23 +696,24 @@ def cmd_update(args: argparse.Namespace) -> int:
     if not args.address:
         print("update needs a server ADDRESS (or --generate)", file=sys.stderr)
         return 2
-    if args.script:
-        try:
-            with open(args.script, "r", encoding="utf-8") as handle:
-                ops = load_ops(handle.read())
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot read op script {args.script!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-    elif args.action:
-        ops = [MutationOp(
-            action=args.action, label=args.label, ordinal=args.ordinal,
-            parent_label=args.parent_label,
-            parent_ordinal=args.parent_ordinal,
-            subtree=_parse_subtree_arg(args.subtree))]
-    else:
+    if not (args.script or args.action):
         print("update needs --action, --script, or --generate",
               file=sys.stderr)
+        return 2
+    # Every op is built, and so validated, before the first one is sent.
+    try:
+        if args.script:
+            with open(args.script, "r", encoding="utf-8") as handle:
+                ops = load_ops(handle.read())
+        else:
+            ops = [MutationOp(
+                action=args.action, label=args.label, ordinal=args.ordinal,
+                parent_label=args.parent_label,
+                parent_ordinal=args.parent_ordinal,
+                subtree=_parse_subtree_arg(args.subtree))]
+    except (OSError, ValueError) as exc:
+        source = f"op script {args.script!r}" if args.script else "op"
+        print(f"bad {source}: {exc}", file=sys.stderr)
         return 2
 
     from repro.serve.client import (
@@ -758,11 +759,14 @@ def _parse_subtree_arg(text: Optional[str]):
     if text is None:
         return None
     stripped = text.strip()
-    if stripped.startswith("["):
-        import json
+    if not stripped.startswith("["):
+        return stripped
+    import json
 
+    try:
         return json.loads(stripped)
-    return stripped
+    except ValueError as exc:
+        raise ValueError(f"--subtree is not valid JSON: {exc}") from None
 
 
 def _render_statusz(status: dict, source: str) -> str:

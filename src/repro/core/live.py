@@ -122,10 +122,12 @@ class LivePartition(MergePartition):
         }
         self.live_root_class: int = stable.root_id
         self.live_doc_height: int = stable.doc_height
-        # Version stamp last held by each id that left the partition, so a
-        # resurrected id (class reborn as a singleton, or a member re-made
-        # a cluster by dissolve) restarts *above* its old stamps and the
-        # versioned merge memo / heap entries can never go stale-valid.
+        # Version stamp last held by each live class's id while it named a
+        # cluster, so an id that comes back (a member re-made a cluster by
+        # dissolve) restarts *above* its old stamps and the versioned merge
+        # memo / heap entries can never go stale-valid.  Class ids are
+        # never reused, so a dead class's id never comes back and keeps no
+        # floor.
         self._stamp_floor: Dict[int, int] = {}
         # Batch state for begin_batch/end_batch reconciliation.
         self._dirty: Set[int] = set()
@@ -151,7 +153,9 @@ class LivePartition(MergePartition):
         return merged
 
     def _note_floor(self, cid: int, version: int) -> None:
-        self._stamp_floor[cid] = max(self._stamp_floor.get(cid, 0), version)
+        if cid in self.s_count:  # a live class: its id may name a cluster again
+            self._stamp_floor[cid] = max(self._stamp_floor.get(cid, 0),
+                                         version)
 
     def _resurrect(self, cid: int) -> None:
         self.version[cid] = self._stamp_floor.pop(cid, 0) + 1
@@ -274,6 +278,7 @@ class LivePartition(MergePartition):
         """Remove a dead stable class, killing its cluster if emptied."""
         owner = self.assign.pop(cid)
         count = self.s_count.pop(cid)
+        self._stamp_floor.pop(cid, None)
         del self.s_label[cid]
         del self.s_depth[cid]
         del self.s_out[cid]

@@ -251,8 +251,8 @@ class QueryCache:
     def invalidate(self, sketch: Optional[TreeSketch] = None) -> int:
         """Drop every cached answer; the epoch-bump mutation barrier.
 
-        Called when the underlying synopsis changed (live maintenance
-        applied an update, or the registry swapped the sketch in place).
+        Called when the underlying synopsis changed (a live registry
+        entry published the snapshot after an update or a re-merge).
         Clears both the LRU entries *and* the sidecar-seeded
         selectivities -- seeded values were computed against the old
         synopsis too -- and rebinds ``self.sketch`` when a replacement is

@@ -32,6 +32,8 @@ import json
 import math
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.workload.mutations import MutationOp
+
 PROTOCOL_VERSION = 1
 
 #: Supported operations, in documentation order.  ``shard_map`` and
@@ -49,9 +51,6 @@ DATA_OPS = frozenset({"eval", "estimate", "explain", "expand"})
 #: idempotent** -- clients must not blind-retry them (see
 #: PooledClient.update).
 MUTATION_OPS = frozenset({"update"})
-
-#: Mutation actions an ``update`` request may carry.
-UPDATE_ACTIONS = ("insert_subtree", "delete_subtree")
 
 #: Ops only the supervisor control endpoint serves.
 SUPERVISOR_OPS = frozenset({"shard_map", "fleet_stats"})
@@ -97,48 +96,14 @@ def _require_str(request: Dict[str, Any], field: str) -> str:
     return value
 
 
-def _check_ordinal(request: Dict[str, Any], field: str) -> None:
-    value = request.get(field)
-    if value is not None and (
-        not isinstance(value, int) or isinstance(value, bool) or value < 0
-    ):
-        raise ProtocolError(
-            "bad_request", f"field {field!r} must be a non-negative integer"
-        )
-
-
-def _check_subtree(spec: Any, depth: int = 0) -> None:
-    """Validate a wire subtree spec: a label string, or ``[label, [specs]]``.
-
-    The nested-list form mirrors ``XMLTree.from_nested`` so a validated
-    spec feeds the maintainer directly, no conversion step.
-    """
-    if depth > 64:
-        raise ProtocolError("bad_request", "field 'subtree' nests too deeply")
-    if isinstance(spec, str):
-        if not spec:
-            raise ProtocolError(
-                "bad_request", "subtree labels must be non-empty strings")
-        return
-    if not isinstance(spec, list) or len(spec) != 2 \
-            or not isinstance(spec[0], str) or not spec[0] \
-            or not isinstance(spec[1], list):
-        raise ProtocolError(
-            "bad_request",
-            "field 'subtree' must be a label string or a "
-            "[label, [child, ...]] pair",
-        )
-    for child in spec[1]:
-        _check_subtree(child, depth + 1)
-
-
 def parse_request(line: Union[bytes, str]) -> Dict[str, Any]:
     """Decode and validate one request line.
 
     Returns the request dict; raises :class:`ProtocolError` with
     ``bad_request`` (malformed JSON / bad field types) or ``unknown_op``.
     Op-specific required fields are checked here so the server's dispatch
-    can assume a well-formed request.
+    can assume a well-formed request.  An ``update`` gets its edit as a
+    validated :class:`MutationOp` under ``request["mutation"]``.
     """
     if isinstance(line, bytes):
         if len(line) > MAX_LINE_BYTES:
@@ -203,23 +168,10 @@ def parse_request(line: Union[bytes, str]) -> Dict[str, Any]:
     if op == "update":
         if request.get("sketch") is not None:
             _require_str(request, "sketch")
-        action = _require_str(request, "action")
-        if action not in UPDATE_ACTIONS:
-            raise ProtocolError(
-                "bad_request",
-                f"unknown update action {action!r}; "
-                f"supported: {', '.join(UPDATE_ACTIONS)}",
-            )
-        if action == "insert_subtree":
-            _require_str(request, "parent_label")
-            _check_ordinal(request, "parent_ordinal")
-            if "subtree" not in request:
-                raise ProtocolError(
-                    "bad_request", "insert_subtree requires field 'subtree'")
-            _check_subtree(request["subtree"])
-        else:  # delete_subtree
-            _require_str(request, "label")
-            _check_ordinal(request, "ordinal")
+        try:
+            request["mutation"] = MutationOp.from_json(request)
+        except ValueError as exc:
+            raise ProtocolError("bad_request", str(exc))
     if op == "explain":
         top_k = request.get("top_k")
         if top_k is not None and (

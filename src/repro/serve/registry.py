@@ -17,7 +17,8 @@ mutations: each mutation runs under the entry's lock, materializes a
 fresh snapshot, and swaps it in through
 :meth:`repro.core.qcache.QueryCache.invalidate` -- the epoch bump that
 guarantees a post-mutation request can never be answered from a
-pre-mutation cache entry (docs/MAINTENANCE.md).
+pre-mutation cache entry (docs/MAINTENANCE.md).  An entry's ``sketch``
+is its cache's binding, so the sketch and the epoch change together.
 
 Binary ``.tsb`` stores (docs/STORAGE.md) get two extras here.  They are
 mmap-loaded, so N supervisor-forked workers pinning the same file share
@@ -42,6 +43,7 @@ from repro.core.stable import StableSummary
 from repro.core.store import load_cache_sidecar, save_cache_sidecar
 from repro.core.treesketch import TreeSketch
 from repro.obs import get_metrics
+from repro.workload.mutations import MutationOp, apply_mutation
 
 
 def name_from_path(path: str) -> str:
@@ -69,7 +71,8 @@ def parse_spec(spec: str) -> Tuple[str, str]:
 
 
 class RegisteredSketch:
-    """One pinned sketch: the synopsis, its cache, and its provenance.
+    """One pinned sketch: its cache (which binds the synopsis) and its
+    provenance.
 
     ``checksum`` is the ``.tsb`` payload CRC32 for mmap-loaded sketches
     (None for JSON loads) -- the key that scopes this sketch's cache
@@ -77,16 +80,20 @@ class RegisteredSketch:
     warm today's.
     """
 
-    __slots__ = ("name", "sketch", "cache", "path", "checksum")
+    __slots__ = ("name", "cache", "path", "checksum")
 
-    def __init__(self, name: str, sketch: TreeSketch, cache: QueryCache,
+    def __init__(self, name: str, cache: QueryCache,
                  path: Optional[str] = None,
                  checksum: Optional[int] = None) -> None:
         self.name = name
-        self.sketch = sketch
         self.cache = cache
         self.path = path
         self.checksum = checksum
+
+    @property
+    def sketch(self) -> TreeSketch:
+        """The synopsis served now: the one the cache is bound to."""
+        return self.cache.sketch
 
     def describe(self) -> Dict[str, object]:
         """Metadata for ``list_sketches`` responses."""
@@ -106,95 +113,77 @@ class RegisteredSketch:
 class LiveSketch(RegisteredSketch):
     """A mutable registry entry backed by a live sketch maintainer.
 
-    ``sketch`` is always the maintainer's most recent snapshot -- a plain
-    frozen :class:`TreeSketch`, so every read path (eval/estimate/expand,
-    the query cache, describe) works unchanged.  :meth:`update` is the
-    only writer: it applies one mutation under ``_mut_lock`` (serializing
-    concurrent updates), materializes the next snapshot, and rebinds it
-    through ``cache.invalidate(sketch=...)`` so the swap and the cache
-    flush are atomic with respect to in-flight reads.
+    ``sketch`` is always the maintainer's most recent published snapshot
+    -- a plain frozen :class:`TreeSketch`, so every read path
+    (eval/estimate/expand, the query cache, describe) works unchanged.
+    Every write runs under ``_mut_lock`` (serializing concurrent writers)
+    and ends in :meth:`_publish`, the one place a new snapshot is served.
     """
 
     __slots__ = ("maintainer", "_mut_lock")
 
     def __init__(self, name: str, maintainer, cache: QueryCache,
                  path: Optional[str] = None) -> None:
-        super().__init__(name, cache.sketch, cache, path=path, checksum=None)
+        super().__init__(name, cache, path=path)
         self.maintainer = maintainer
         self._mut_lock = threading.Lock()
 
-    def update(self, action: str, *, parent_label: Optional[str] = None,
-               parent_ordinal: int = 0, subtree=None,
-               label: Optional[str] = None, ordinal: int = 0,
-               ) -> Dict[str, object]:
-        """Apply one mutation; returns the post-mutation wire payload.
+    def update(self, op: MutationOp) -> Dict[str, object]:
+        """Apply one validated op; returns the post-mutation wire payload.
 
-        Raises :class:`KeyError` when the addressed node does not exist
-        and :class:`ValueError` for an invalid edit (deleting the root,
-        malformed subtree spec) -- the server maps both to ``bad_request``.
+        Raises :class:`KeyError` when the op's address does not resolve
+        and :class:`ValueError` for an invalid edit (deleting the root)
+        -- the server maps both to ``bad_request``.
         """
-        from repro.core.live import find_labeled
-
         with self._mut_lock:
-            maintainer = self.maintainer
-            if action == "insert_subtree":
-                parent = find_labeled(maintainer, parent_label, parent_ordinal)
-                if parent is None:
-                    raise KeyError(
-                        f"no node labeled {parent_label!r} with ordinal "
-                        f"{parent_ordinal} in sketch {self.name!r}")
-                maintainer.insert_subtree(parent, _spec_from_wire(subtree))
-            elif action == "delete_subtree":
-                node = find_labeled(maintainer, label, ordinal)
-                if node is None:
-                    raise KeyError(
-                        f"no node labeled {label!r} with ordinal {ordinal} "
-                        f"in sketch {self.name!r}")
-                maintainer.delete_subtree(node)
-            else:
-                raise ValueError(f"unknown update action {action!r}")
-            snapshot = maintainer.snapshot()
-            # The epoch bump *is* the consistency barrier: entries cached
-            # against the pre-mutation snapshot are dropped and the new
-            # snapshot rebound under the cache's single-flight lock.
-            epoch = self.cache.invalidate(sketch=snapshot)
-            self.sketch = snapshot
-            info = maintainer.info()
+            apply_mutation(self.maintainer, op)
+            epoch = self._publish()
+            sketch, info = self.sketch, self.maintainer.info()
             return {
                 "sketch": self.name,
-                "action": action,
+                "action": op.action,
                 "epoch": epoch,
                 "mutations": info["mutations"],
                 "remerges": info["remerges"],
                 "debt": info["debt_total"],
-                "nodes": snapshot.num_nodes,
-                "edges": snapshot.num_edges,
-                "size_bytes": snapshot.size_bytes(),
+                "nodes": sketch.num_nodes,
+                "edges": sketch.num_edges,
+                "size_bytes": sketch.size_bytes(),
             }
 
-    def observe_error(self, rel_error: float) -> Optional[int]:
+    def observe_error(self, rel_error: float) -> None:
         """Feed one shadow-measured relative error to the maintainer's
         adaptive ``debt_threshold`` controller (no-op when disabled).
 
         Runs under the mutation lock -- the controller may trigger a
         re-merge, which must serialize with concurrent updates like any
-        other write.  When it does, the served snapshot is refreshed
-        through the same epoch-bump barrier as :meth:`update`; the new
-        epoch is returned so the caller can invalidate queued shadow
-        samples, None otherwise.
+        other write, and is published like one.
         """
         maintainer = self.maintainer
         if maintainer.adaptive is None:
-            return None
+            return
         with self._mut_lock:
             before = maintainer.remerges
             maintainer.observe_error(rel_error)
-            if maintainer.remerges == before:
-                return None
-            snapshot = maintainer.snapshot()
-            epoch = self.cache.invalidate(sketch=snapshot)
-            self.sketch = snapshot
-            return epoch
+            if maintainer.remerges != before:
+                self._publish()
+
+    def _publish(self) -> int:
+        """Serve the maintainer's current state; returns the new epoch.
+
+        The epoch bump *is* the consistency barrier: ``cache.invalidate``
+        rebinds the snapshot, drops the answers cached against the old
+        one and bumps the epoch, all under the cache's lock.  A queued
+        shadow sample tagged with the old epoch is dropped as stale.  The
+        caller holds ``_mut_lock``.
+        """
+        # Rebinding drops what is usually the last reference to the old
+        # snapshot: hold it so it is freed after invalidate has released
+        # the cache lock that reads wait on.
+        retired = self.cache.sketch
+        epoch = self.cache.invalidate(sketch=self.maintainer.snapshot())
+        del retired
+        return epoch
 
     def describe(self) -> Dict[str, object]:
         doc = super().describe()
@@ -208,24 +197,6 @@ class LiveSketch(RegisteredSketch):
         if info.get("adaptive") is not None:
             doc["adaptive"] = info["adaptive"]
         return doc
-
-
-def _spec_from_wire(spec):
-    """Wire subtree spec -> maintainer nested-tuple spec, re-validated.
-
-    The protocol layer already validates requests off the wire, but
-    :meth:`LiveSketch.update` is also called directly (CLI script replay,
-    tests), so malformed specs must still fail as :class:`ValueError`,
-    never a maintainer-internal TypeError.
-    """
-    if isinstance(spec, str) and spec:
-        return spec
-    if (isinstance(spec, (list, tuple)) and len(spec) == 2
-            and isinstance(spec[0], str) and spec[0]
-            and isinstance(spec[1], (list, tuple))):
-        return (spec[0], [_spec_from_wire(child) for child in spec[1]])
-    raise ValueError(
-        "subtree spec must be a label string or a [label, [child, ...]] pair")
 
 
 class SketchRegistry:
@@ -259,9 +230,8 @@ class SketchRegistry:
                 f"unsupported synopsis type {type(synopsis).__name__}"
             )
         entry = RegisteredSketch(
-            name, synopsis, QueryCache(synopsis, maxsize=self.cache_size),
-            path, checksum
-        )
+            name, QueryCache(synopsis, maxsize=self.cache_size), path,
+            checksum)
         self._sketches[name] = entry
         return entry
 
@@ -336,18 +306,6 @@ class SketchRegistry:
                 f"unknown sketch {name!r}; available: {sorted(self._sketches)}"
             )
         return entry
-
-    def invalidate(self, name: Optional[str] = None) -> Dict[str, int]:
-        """Bump the cache epoch of one sketch (or all of them).
-
-        The registry-level mutation barrier: returns ``{name: new epoch}``
-        for every invalidated entry.  Used when a synopsis file is
-        reloaded in place or an operator wants to force cold caches; live
-        entries bump their own epoch per mutation via
-        :meth:`LiveSketch.update`.
-        """
-        names = [self.get(name).name] if name is not None else self.names()
-        return {n: self._sketches[n].cache.invalidate() for n in names}
 
     def save_caches(self) -> int:
         """Persist each ``.tsb``-backed sketch's warm state to its sidecar.

@@ -227,11 +227,7 @@ class SketchServer:
             return
         if self._ledger is not None:
             self._ledger.note_debt(sketch, registered.maintainer.total_debt())
-        epoch = registered.observe_error(rel_error)
-        if epoch is not None and self._shadow is not None:
-            # The controller re-merged: queued samples predate the new
-            # snapshot and must not score against it.
-            self._shadow.note_epoch(sketch, epoch)
+        registered.observe_error(rel_error)
 
     async def start(self) -> None:
         if self._server is not None:
@@ -511,11 +507,6 @@ class SketchServer:
             )
         self._admit()
         payload = await self._answer_on_pool(request, registered)
-        # Queued shadow samples were scored against the pre-mutation
-        # sketch: advance the sampler's epoch so the drain thread
-        # drops them as stale instead of reporting bogus drift.
-        if self._shadow is not None:
-            self._shadow.note_epoch(registered.name, payload["epoch"])
         if self._ledger is not None:
             self._ledger.note_debt(registered.name, payload["debt"])
         return protocol.ok_response(request, **payload)
@@ -559,7 +550,8 @@ class SketchServer:
                 and request["op"] in ("estimate", "eval")
                 and not payload.get("degraded")):
             self._shadow.offer(registered.name, query,
-                               payload["selectivity"], epoch=epoch)
+                               payload["selectivity"],
+                               cache=registered.cache, epoch=epoch)
         return protocol.ok_response(request, **payload)
 
     def _admit(self) -> Decision:
@@ -697,14 +689,7 @@ class SketchServer:
             # An address that does not resolve (unknown label, ordinal
             # past the end, the document root) is the client's error.
             try:
-                payload = registered.update(
-                    request["action"],
-                    parent_label=request.get("parent_label"),
-                    parent_ordinal=int(request.get("parent_ordinal", 0)),
-                    subtree=request.get("subtree"),
-                    label=request.get("label"),
-                    ordinal=int(request.get("ordinal", 0)),
-                )
+                payload = registered.update(request["mutation"])
             except KeyError as exc:
                 raise ProtocolError("bad_request", exc.args[0])
             except ValueError as exc:

@@ -19,12 +19,13 @@ evaluation; when the queue is full the sample is dropped and counted,
 never blocked on.  A slow or wedged reference therefore degrades the
 *telemetry*, not the serving.
 
-Samples are tagged with the sketch's **cache epoch** at offer time.  A
-live ``update`` mutates the sketch and bumps its epoch; a queued sample
-scored after that mutation would compare a pre-mutation estimate against
-the post-mutation reference and report bogus drift.  The drain thread
-therefore drops any sample whose epoch no longer matches the sketch's
-current epoch (``serve.accuracy.stale_dropped``) instead of scoring it.
+Samples carry the answering entry's query cache and its **epoch** read
+before the answer.  A live ``update`` (or a forced re-merge) publishes a
+new snapshot and bumps that epoch; a queued sample scored after it would
+compare a pre-mutation estimate against the post-mutation reference and
+report bogus drift.  The drain thread therefore drops any sample whose
+cache epoch has moved (``serve.accuracy.stale_dropped``) instead of
+scoring it, whatever bumped the epoch.
 
 Metrics: ``serve.accuracy.sampled`` / ``.evaluated`` / ``.dropped`` /
 ``.stale_dropped`` / ``.failed`` counters and the
@@ -45,6 +46,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.core.estimate import estimate_selectivity
 from repro.core.evaluate import eval_query
+from repro.core.qcache import QueryCache
 from repro.core.stable import StableSummary
 from repro.core.treesketch import TreeSketch
 from repro.obs import get_metrics
@@ -111,9 +113,6 @@ class ShadowSampler:
         self._accumulator = 0.0
         self._queue: "queue.Queue[Optional[tuple]]" = queue.Queue(max_queue)
         self._thread: Optional[threading.Thread] = None
-        # Current cache epoch per sketch, advanced by note_epoch() on
-        # mutation; samples carrying an older epoch are dropped as stale.
-        self._epochs: Dict[str, int] = {}
         # Plain-int mirrors so /statusz reports even with obs disabled.
         self.sampled_total = 0
         self.evaluated_total = 0
@@ -126,17 +125,18 @@ class ShadowSampler:
 
     # ------------------------------------------------------------- hot path
 
-    def offer(self, sketch_name: str, query: TwigQuery,
-              estimate: float, epoch: Optional[int] = None) -> bool:
+    def offer(self, sketch_name: str, query: TwigQuery, estimate: float,
+              cache: Optional[QueryCache] = None,
+              epoch: Optional[int] = None) -> bool:
         """Maybe enqueue one served answer for shadow scoring.
 
         Called on the event loop after the response is finalized: a
         deterministic accumulator decides sampling, and the enqueue is
         non-blocking -- a full queue drops the sample (counted) rather
-        than slowing the request path.  ``epoch`` is the sketch's cache
-        epoch at answer time; a later mutation invalidates the sample
-        (see :meth:`note_epoch`).  Returns whether the answer was
-        enqueued.
+        than slowing the request path.  ``cache`` is the answering
+        entry's query cache and ``epoch`` its epoch read before the
+        answer; the sample is dropped as stale if that epoch has moved
+        when it is scored.  Returns whether the answer was enqueued.
         """
         self._accumulator += self.fraction
         if self._accumulator < 1.0:
@@ -146,22 +146,12 @@ class ShadowSampler:
         get_metrics().counter("serve.accuracy.sampled").inc()
         try:
             self._queue.put_nowait(
-                (sketch_name, query, float(estimate), epoch))
+                (sketch_name, query, float(estimate), cache, epoch))
         except queue.Full:
             self.dropped_total += 1
             get_metrics().counter("serve.accuracy.dropped").inc()
             return False
         return True
-
-    def note_epoch(self, sketch_name: str, epoch: int) -> None:
-        """Advance ``sketch_name``'s current epoch after a mutation.
-
-        Queued samples tagged with an older epoch were scored against a
-        sketch that no longer exists; the drain thread drops them.
-        Plain dict assignment (atomic under the GIL), called from the
-        update path.
-        """
-        self._epochs[sketch_name] = int(epoch)
 
     # -------------------------------------------------------- shadow thread
 
@@ -170,13 +160,11 @@ class ShadowSampler:
             item = self._queue.get()
             if item is None:
                 return
-            sketch_name, query, estimate, epoch = item
+            sketch_name, query, estimate, cache, epoch = item
             metrics = get_metrics()
             if self.eval_delay_s > 0.0:
                 time.sleep(self.eval_delay_s)
-            current = self._epochs.get(sketch_name)
-            if (epoch is not None and current is not None
-                    and current != epoch):
+            if cache is not None and cache.epoch != epoch:
                 self.stale_dropped_total += 1
                 metrics.counter("serve.accuracy.stale_dropped").inc()
                 continue

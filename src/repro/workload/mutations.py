@@ -20,18 +20,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Union
 
-from repro.core.live import find_labeled
+from repro.core import live
 from repro.xmltree.tree import XMLTree, build_nested
 
-#: Nested subtree spec: a label, or ``(label, [spec, ...])``.
-SubtreeSpec = Union[str, Tuple[str, list]]
+#: Nested subtree spec: a label, or ``[label, [spec, ...]]``.
+SubtreeSpec = Union[str, list]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MutationOp:
-    """One document edit, addressed the way the wire protocol addresses it."""
+    """One document edit, addressed the way the wire protocol addresses it.
+
+    Valid by construction: every field the action uses is checked here,
+    and a bad one raises :class:`ValueError` with the message an
+    ``update`` request gets back as ``bad_request``.  An op that exists
+    can therefore be sent, applied or logged as it is.
+    """
 
     action: str  # "insert_subtree" | "delete_subtree"
     label: Optional[str] = None            # delete: target node label
@@ -40,41 +46,72 @@ class MutationOp:
     parent_ordinal: int = 0                # insert: n-th preorder match
     subtree: Optional[SubtreeSpec] = None  # insert: nested spec
 
+    def __post_init__(self) -> None:
+        if self.action == "insert_subtree":
+            _check_label("parent_label", self.parent_label)
+            _check_ordinal("parent_ordinal", self.parent_ordinal)
+            if self.subtree is None:
+                raise ValueError("insert_subtree requires field 'subtree'")
+            _check_spec(self.subtree, 0)
+        elif self.action == "delete_subtree":
+            _check_label("label", self.label)
+            _check_ordinal("ordinal", self.ordinal)
+        else:
+            raise ValueError(f"unknown update action {self.action!r}; "
+                             "supported: insert_subtree, delete_subtree")
+
     def to_json(self) -> dict:
         """The op as the field dict an ``update`` request carries."""
         if self.action == "insert_subtree":
             return {"action": self.action, "parent_label": self.parent_label,
                     "parent_ordinal": self.parent_ordinal,
-                    "subtree": _spec_to_json(self.subtree)}
+                    "subtree": self.subtree}
         return {"action": self.action, "label": self.label,
                 "ordinal": self.ordinal}
 
     @staticmethod
     def from_json(doc: dict) -> "MutationOp":
+        """The op in an ``update`` request or a script line.
+
+        Reads only the action's fields; other keys (``op``, ``id``,
+        ``sketch``, ...) are ignored.  Raises :class:`ValueError` for an
+        invalid op.
+        """
         action = doc.get("action")
         if action == "insert_subtree":
-            return MutationOp(action=action,
-                              parent_label=doc["parent_label"],
-                              parent_ordinal=int(doc.get("parent_ordinal", 0)),
-                              subtree=_spec_from_json(doc["subtree"]))
-        if action == "delete_subtree":
-            return MutationOp(action=action, label=doc["label"],
-                              ordinal=int(doc.get("ordinal", 0)))
-        raise ValueError(f"unknown mutation action {action!r}")
+            return MutationOp(action, parent_label=doc.get("parent_label"),
+                              parent_ordinal=doc.get("parent_ordinal", 0),
+                              subtree=doc.get("subtree"))
+        return MutationOp(action, label=doc.get("label"),
+                          ordinal=doc.get("ordinal", 0))
 
 
-def _spec_to_json(spec: SubtreeSpec):
+def _check_label(field: str, value) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"field {field!r} must be a non-empty string")
+
+
+def _check_ordinal(field: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"field {field!r} must be a non-negative integer")
+
+
+def _check_spec(spec, depth: int) -> None:
+    """A subtree spec: a label string, or a ``[label, [spec, ...]]`` pair
+    nested at most 64 levels below the root."""
+    if depth > 64:
+        raise ValueError("field 'subtree' nests too deeply")
     if isinstance(spec, str):
-        return spec
-    label, children = spec
-    return [label, [_spec_to_json(child) for child in children]]
-
-
-def _spec_from_json(spec) -> SubtreeSpec:
-    if isinstance(spec, str):
-        return spec
-    label, children = spec
-    return (label, [_spec_from_json(child) for child in children])
+        if not spec:
+            raise ValueError("subtree labels must be non-empty strings")
+        return
+    if not isinstance(spec, (list, tuple)) or len(spec) != 2 \
+            or not isinstance(spec[0], str) or not spec[0] \
+            or not isinstance(spec[1], (list, tuple)):
+        raise ValueError("field 'subtree' must be a label string or a "
+                         "[label, [child, ...]] pair")
+    for child in spec[1]:
+        _check_spec(child, depth + 1)
 
 
 def dump_ops(ops: Iterable[MutationOp]) -> str:
@@ -84,13 +121,23 @@ def dump_ops(ops: Iterable[MutationOp]) -> str:
 
 
 def load_ops(text: str) -> List[MutationOp]:
-    """Parse a JSON-lines op script (blank lines and ``#`` comments ok)."""
+    """Parse a JSON-lines op script (blank lines and ``#`` comments ok).
+
+    The whole script is checked before anything is returned: a line that
+    is not a valid op raises :class:`ValueError` naming its line number.
+    """
     ops = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        ops.append(MutationOp.from_json(json.loads(line)))
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError("an op must be a JSON object")
+            ops.append(MutationOp.from_json(doc))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     return ops
 
 
@@ -101,8 +148,8 @@ def _random_spec(rng: Random, labels: List[str], budget: int) -> SubtreeSpec:
         return label
     num_children = rng.randint(1, min(3, budget - 1))
     share = (budget - 1) // num_children
-    return (label, [_random_spec(rng, labels, max(1, share))
-                    for _ in range(num_children)])
+    return [label, [_random_spec(rng, labels, max(1, share))
+                    for _ in range(num_children)]]
 
 
 def make_mutation_workload(
@@ -158,18 +205,18 @@ def apply_mutation(maintainer, op: MutationOp) -> None:
 
     Works against both :class:`repro.core.maintain.StableMaintainer` and
     :class:`repro.core.live.SketchMaintainer`; the op's address resolves
-    through the document's label index (:func:`find_labeled`).  Raises
-    :class:`KeyError` when the op's address does not resolve.
+    through the document's label index (:func:`repro.core.live.find_labeled`,
+    looked up on its module per call so a layer timer can wrap it).
+    Raises :class:`KeyError` when the address does not resolve and
+    :class:`ValueError` for an invalid edit (deleting the root).
     """
-    if op.action == "insert_subtree":
-        parent = find_labeled(maintainer, op.parent_label, op.parent_ordinal)
-        if parent is None:
-            raise KeyError(f"no node {op.parent_label!r}#{op.parent_ordinal}")
-        maintainer.insert_subtree(parent, op.subtree)
-    elif op.action == "delete_subtree":
-        node = find_labeled(maintainer, op.label, op.ordinal)
-        if node is None:
-            raise KeyError(f"no node {op.label!r}#{op.ordinal}")
+    insert = op.action == "insert_subtree"
+    label, ordinal = ((op.parent_label, op.parent_ordinal) if insert
+                      else (op.label, op.ordinal))
+    node = live.find_labeled(maintainer, label, ordinal)
+    if node is None:
+        raise KeyError(f"no node labeled {label!r} with ordinal {ordinal}")
+    if insert:
+        maintainer.insert_subtree(node, op.subtree)
+    else:
         maintainer.delete_subtree(node)
-    else:  # pragma: no cover - constructors reject unknown actions
-        raise ValueError(f"unknown mutation action {op.action!r}")

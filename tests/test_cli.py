@@ -206,6 +206,62 @@ class TestPreviewCap:
         assert "Traceback" not in proc.stderr
 
 
+class TestUpdateOpValidation:
+    """``treesketch update`` checks every op before it sends the first:
+    a bad script line or flag is one stderr line and exit 2.  The port is
+    closed, so an op that reached the network would end "update failed"
+    (exit 1) instead."""
+
+    @pytest.fixture
+    def address(self):
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            return "127.0.0.1:%d" % sock.getsockname()[1]
+
+    @staticmethod
+    def _assert_refused(proc, message):
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "update failed" not in proc.stderr
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"action":"insert_subtree","parent_label":"a","subtree":5}',
+         "field 'subtree'"),
+        ('{"action":"delete_subtree","label":"a","ordinal":true}',
+         "field 'ordinal'"),
+        ('{"action":"delete_subtree","label":"a","ordinal":2.7}',
+         "field 'ordinal'"),
+        ('{"action":"delete_subtree","label":"a","ordinal":-1}',
+         "field 'ordinal'"),
+        ('["delete_subtree","a"]', "an op must be a JSON object"),
+    ])
+    def test_bad_script_line(self, tmp_path, address, line, message):
+        script = tmp_path / "ops.jsonl"
+        script.write_text(
+            '{"action":"delete_subtree","label":"a","ordinal":0}\n'
+            + line + "\n")
+        proc = _run_module("update", address, "--script", str(script))
+        self._assert_refused(proc, "line 2: " + message)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--action", "insert_subtree", "--parent-label", "a",
+          "--subtree", "[bad"], "--subtree is not valid JSON"),
+        (["--action", "insert_subtree", "--parent-label", "a",
+          "--subtree", "[5]"], "field 'subtree'"),
+        (["--action", "insert_subtree", "--subtree", "x"],
+         "field 'parent_label'"),
+        (["--action", "delete_subtree", "--label", "a", "--ordinal", "-1"],
+         "field 'ordinal'"),
+    ])
+    def test_bad_flags(self, address, flags, message):
+        proc = _run_module("update", address, *flags)
+        self._assert_refused(proc, message)
+
+
 class TestPythonDashM:
     """``python -m repro`` must behave exactly like the console script."""
 

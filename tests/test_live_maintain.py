@@ -395,6 +395,26 @@ class TestStampFloors:
             live = set(version)
         assert returned > 0, "no id came back; the test is vacuous"
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_floors_are_kept_only_for_ids_that_can_return(self, seed):
+        """Only a live class's id can name a cluster again (through
+        ``dissolve``): class ids are never reused.  So after every edit
+        each stamp floor belongs to a live class whose id names no live
+        cluster, and the table does not grow with the dead."""
+        tree = sprot_like(scale=0.6, seed=seed)
+        maintainer = SketchMaintainer(
+            tree, 3 * 1024, options=LiveOptions(debt_threshold=2.0))
+        part = maintainer.partition
+        died = False
+        for op in make_mutation_workload(tree, num_ops=80, seed=seed):
+            classes = set(part.s_count)
+            apply_mutation(maintainer, op)
+            died = died or not classes <= set(part.s_count)
+            floors = set(part._stamp_floor)
+            assert floors <= set(part.s_count), floors - set(part.s_count)
+            assert not floors & set(part.members)
+        assert died and maintainer.remerges, "the test is vacuous"
+
 
 def _relisting_workload(tree, num_ops, seed, insert_fraction,
                         max_subtree_nodes):
@@ -427,6 +447,7 @@ class TestMutationWorkload:
     def test_script_round_trip(self):
         tree = _document()
         ops = make_mutation_workload(tree, num_ops=25, seed=9)
+        assert any(isinstance(op.subtree, list) for op in ops)
         assert load_ops(dump_ops(ops)) == ops
         text = "# comment\n\n" + dump_ops(ops)
         assert load_ops(text) == ops

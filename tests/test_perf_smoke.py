@@ -27,7 +27,11 @@ from repro.datagen.datasets import TX_DATASETS, sprot_like
 from repro.serve.client import ServeClient
 from repro.serve.registry import SketchRegistry
 from repro.serve.server import ServeConfig, start_server_thread
-from repro.workload.mutations import apply_mutation, make_mutation_workload
+from repro.workload.mutations import (
+    MutationOp,
+    apply_mutation,
+    make_mutation_workload,
+)
 from repro.workload.runner import run_selectivity
 from repro.workload.workload import make_workload
 from repro.xmltree.node import XMLNode
@@ -140,7 +144,7 @@ def test_live_update_visits_only_the_edited_subtree(live_entry, monkeypatch,
     for name in ("iter_preorder", "iter_postorder"):
         monkeypatch.setattr(XMLNode, name,
                             _counting(getattr(XMLNode, name), yielded))
-    live_entry.update(action, **fields)
+    live_entry.update(MutationOp(action, **fields))
     assert 0 < yielded[0] <= 4 * edited, (yielded[0], edited)
 
 

@@ -19,8 +19,9 @@ import pytest
 
 from repro import obs
 from repro.core.build import build_treesketch
-from repro.core.live import SketchMaintainer
+from repro.core.live import LiveOptions, SketchMaintainer
 from repro.core.stable import build_stable
+from repro.datagen import sprot_like
 from repro.engine.exact import ExactEvaluator
 from repro.obs.accuracy import STATE_BURNING, STATE_OK
 from repro.serve import (
@@ -31,6 +32,7 @@ from repro.serve import (
     start_server_thread,
 )
 from repro.serve.registry import LiveSketch
+from repro.workload.mutations import apply_mutation, make_mutation_workload
 from repro.xmltree.tree import XMLTree
 
 pytestmark = pytest.mark.obs
@@ -275,9 +277,11 @@ class TestStaleSamples:
             shadow = handle.server.shadow
             offer, epochs = shadow.offer, []
 
-            def recording_offer(sketch, query, estimate, epoch=None):
+            def recording_offer(sketch, query, estimate, cache=None,
+                                epoch=None):
                 epochs.append(epoch)
-                return offer(sketch, query, estimate, epoch=epoch)
+                return offer(sketch, query, estimate, cache=cache,
+                             epoch=epoch)
 
             shadow.offer = recording_offer
             with ServeClient("127.0.0.1", handle.port) as client:
@@ -286,6 +290,62 @@ class TestStaleSamples:
         finally:
             handle.stop()
         assert epochs == [0, 1]
+
+    def _scored_or_stale(self, registry, bump):
+        """Queue one shadow sample of ``//a`` on ``live``, run ``bump``
+        while the drain thread holds it, and return the sampler's info."""
+        handle = start_server_thread(registry, ServeConfig(
+            port=0, shadow_fraction=1.0, shadow_reference=lambda q: 1.0,
+            shadow_eval_delay_s=0.4))
+        try:
+            shadow = handle.server.shadow
+            with ServeClient("127.0.0.1", handle.port) as client:
+                client.estimate("//a", sketch="live")  # queued @ epoch 0
+            bump()
+            _wait_until(lambda: shadow.evaluated_total
+                        + shadow.stale_dropped_total == 1,
+                        message="the queued sample to be drained")
+            return shadow.info()
+        finally:
+            handle.stop()
+
+    def test_any_epoch_bump_makes_a_queued_sample_stale(self):
+        """The sampler reads the entry's cache epoch itself: a bump that
+        no server code path relays (a plain ``invalidate``) still drops
+        the sample."""
+        registry = SketchRegistry()
+        registry.register_live("live", SketchMaintainer(_tree(), LIVE_BUDGET))
+        info = self._scored_or_stale(
+            registry, lambda: registry.get("live").cache.invalidate())
+        assert (info["stale_dropped"], info["evaluated"]) == (1, 0)
+
+    def test_a_forced_remerge_makes_a_queued_sample_stale(self):
+        """An adaptive re-merge publishes a new snapshot through the same
+        barrier as an update, so the served sketch is the cache's and a
+        sample queued before it is dropped."""
+        tree = sprot_like(scale=0.3, seed=1)
+        ops = make_mutation_workload(tree, num_ops=30, seed=1)
+        maintainer = SketchMaintainer(
+            tree, 4 * 1024, options=LiveOptions(auto_remerge=False))
+        for op in ops:
+            apply_mutation(maintainer, op)
+        # One tightening (x0.25) puts the largest debt over the bar.
+        assert maintainer.max_debt() > 0
+        maintainer.options.debt_threshold = 2 * maintainer.max_debt()
+        maintainer.enable_adaptive(target_rel_error=0.25, min_samples=1)
+        registry = SketchRegistry()
+        entry = registry.register_live("live", maintainer)
+        before = entry.sketch
+
+        def burn():
+            entry.observe_error(1000.0)
+            assert maintainer.remerges == 1
+
+        info = self._scored_or_stale(registry, burn)
+        assert (info["stale_dropped"], info["evaluated"]) == (1, 0)
+        assert entry.cache.epoch == 1
+        assert entry.sketch is entry.cache.sketch
+        assert entry.sketch is not before
 
 
 # ------------------------------------------------- adaptive maintenance

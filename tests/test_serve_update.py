@@ -39,6 +39,7 @@ from repro.serve import (
 from repro.serve.client import PooledClient
 from repro.serve.protocol import ProtocolError, parse_request
 from repro.serve.registry import LiveSketch
+from repro.workload.mutations import MutationOp, load_ops
 from repro.xmltree.serialize import to_xml
 from repro.xmltree.tree import XMLTree
 
@@ -84,6 +85,48 @@ def _truth(sketch, text: str) -> float:
     return estimate_selectivity(eval_query(sketch, parse_twig(text)))
 
 
+def _nested(depth: int):
+    """A one-path subtree spec whose deepest label is ``depth`` levels
+    below its root."""
+    spec = "leaf"
+    for _ in range(depth):
+        spec = ["p", [spec]]
+    return spec
+
+
+#: Update ops every entry point must reject, as the fields a request
+#: carries (everything but ``op``).
+INVALID_OPS = [
+    {},                                                    # no action
+    {"action": "replace"},                                 # unknown action
+    {"action": "insert_subtree"},                          # no parent/subtree
+    {"action": "insert_subtree", "parent_label": "a",
+     "subtree": ["p"]},                                    # malformed spec
+    {"action": "insert_subtree", "parent_label": "a", "subtree": "x",
+     "parent_ordinal": -1},                                # negative ordinal
+    {"action": "insert_subtree", "parent_label": "a", "subtree": "x",
+     "parent_ordinal": True},                              # bool is not int
+    {"action": "delete_subtree"},                          # no label
+    {"action": "delete_subtree", "label": "", "ordinal": 0},  # empty label
+    {"action": "insert_subtree", "parent_label": "a"},     # no subtree
+    {"action": "insert_subtree", "parent_label": "a",
+     "subtree": 5},                                        # not a spec
+    {"action": "insert_subtree", "parent_label": "a",
+     "subtree": ["p", "k"]},                               # children not a list
+    {"action": "insert_subtree", "parent_label": "a",
+     "subtree": ["p", [""]]},                              # empty child label
+    {"action": "insert_subtree", "parent_label": "a",
+     "subtree": _nested(65)},                              # nests 65 deep
+    {"action": "insert_subtree", "parent_label": "a", "subtree": "x",
+     "parent_ordinal": 2.7},                               # float ordinal
+    {"action": "delete_subtree", "label": 7},              # label not a string
+    {"action": "delete_subtree", "label": "n", "ordinal": True},
+    {"action": "delete_subtree", "label": "n", "ordinal": 1.0},
+    {"action": "delete_subtree", "label": "n", "ordinal": "2"},
+    {"action": "delete_subtree", "label": "n", "ordinal": None},
+]
+
+
 class TestProtocolValidation:
     def test_valid_insert_and_delete_parse(self):
         insert = parse_request(json.dumps({
@@ -96,26 +139,38 @@ class TestProtocolValidation:
             "label": "n", "ordinal": 2}))
         assert delete["label"] == "n"
 
-    @pytest.mark.parametrize("request_doc", [
-        {"op": "update"},                                  # no action
-        {"op": "update", "action": "replace"},             # unknown action
-        {"op": "update", "action": "insert_subtree"},      # no parent/subtree
-        {"op": "update", "action": "insert_subtree",
-         "parent_label": "a", "subtree": ["p"]},           # malformed spec
-        {"op": "update", "action": "insert_subtree",
-         "parent_label": "a", "subtree": "x",
-         "parent_ordinal": -1},                            # negative ordinal
-        {"op": "update", "action": "insert_subtree",
-         "parent_label": "a", "subtree": "x",
-         "parent_ordinal": True},                          # bool is not int
-        {"op": "update", "action": "delete_subtree"},      # no label
-        {"op": "update", "action": "delete_subtree",
-         "label": "", "ordinal": 0},                       # empty label
-    ])
+    def test_valid_op_with_extra_keys_is_accepted(self):
+        """Keys that are not the action's fields are ignored, on the wire
+        and in a script line alike."""
+        doc = {"op": "update", "id": 3, "sketch": "live",
+               "action": "delete_subtree", "label": "n", "ordinal": 2,
+               "parent_ordinal": -1, "note": "ignored"}
+        op = MutationOp(action="delete_subtree", label="n", ordinal=2)
+        assert parse_request(json.dumps(doc))["mutation"] == op
+        assert MutationOp.from_json(doc) == op
+        assert load_ops(json.dumps(doc)) == [op]
+
+    @pytest.mark.parametrize("request_doc", INVALID_OPS)
     def test_invalid_updates_rejected(self, request_doc):
+        """One table, four doors: the wire, the constructor, the JSON
+        mapping and a script line reject the same ops."""
         with pytest.raises(ProtocolError) as excinfo:
-            parse_request(json.dumps(request_doc))
+            parse_request(json.dumps({"op": "update", **request_doc}))
         assert excinfo.value.code == "bad_request"
+        with pytest.raises(ValueError):
+            MutationOp(**{"action": None, **request_doc})  # None: no action
+        with pytest.raises(ValueError):
+            MutationOp.from_json(request_doc)
+        with pytest.raises(ValueError):
+            load_ops(json.dumps(request_doc))
+
+    def test_subtree_nesting_limit(self):
+        """A spec may nest 64 levels below its root, not 65."""
+        assert MutationOp(action="insert_subtree", parent_label="a",
+                          subtree=_nested(64))
+        with pytest.raises(ValueError, match="nests too deeply"):
+            MutationOp(action="insert_subtree", parent_label="a",
+                       subtree=_nested(65))
 
 
 class TestAddressing:
@@ -141,7 +196,7 @@ class TestAddressing:
             return original(maintainer, label, ordinal)
 
         monkeypatch.setattr(live, "find_labeled", counting)
-        entry.update(action, **fields)
+        entry.update(MutationOp(action, **fields))
         assert calls == [(entry.maintainer, *address)]
 
 
@@ -247,13 +302,18 @@ class TestSingleServer:
         described = {doc["name"]: doc for doc in client.list_sketches()}
         assert described["live"]["epoch"] == 1
 
-    def test_registry_level_invalidate_bumps_epochs(self, server):
+    def test_served_sketch_is_the_cache_binding(self, server, client):
+        """``entry.sketch`` is read from the cache, so the sketch an entry
+        serves and the epoch it is cached under change in one step."""
         registry, _ = server
-        epochs = registry.invalidate()
-        assert epochs == {"frozen": 1, "live": 1}
-        assert registry.invalidate("live") == {"live": 2}
-        with pytest.raises(KeyError):
-            registry.invalidate("nope")
+        entry = registry.get("live")
+        before = entry.sketch
+        client.update("insert_subtree", sketch="live",
+                      parent_label="r", subtree="n")
+        assert entry.sketch is entry.cache.sketch
+        assert entry.sketch is not before
+        frozen = registry.get("frozen")
+        assert frozen.sketch is frozen.cache.sketch
 
 
 class TestCheckpointTimer:
